@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 
 from . import rep, svg
-from .core import TropPoly, TropRational, canonicalize
+from .core import TropPoly, TropRational
 from .curve import (
     Divisor,
     curve_to_divisor,
@@ -232,6 +232,8 @@ def _cmd_divide(args) -> str:
 
 
 def _cmd_factor(args) -> str:
+    if args.depth < 0:
+        raise TropError(f"--depth must be at least 0, got {args.depth}")
     vars = _vars_of(args, args.poly)
     f = parse_poly(args.poly, vars)
     factorizations = rep.enumerate_factorizations(f, depth=args.depth)
@@ -260,6 +262,8 @@ def _cmd_divisor(args) -> str:
 
 
 def _cmd_check_duality(args) -> str:
+    if args.count < 1:
+        raise TropError(f"--count must be at least 1, got {args.count}")
     f, g, vars = _parse_pair(args)
     samples = duality_samples(f, g, args.count, args.seed)
     report = graph_duality_check(f, g, samples)
@@ -287,15 +291,16 @@ def _cmd_check_duality(args) -> str:
 
 
 def _cmd_render(args) -> str:
-    if args.kind == "subdiv":
-        vars = _vars_of(args, args.poly)
-        return svg.render_svg(dual_subdivision(parse_poly(args.poly, vars)))
-    if args.kind == "curve":
-        vars = _vars_of(args, args.poly)
-        return svg.render_svg(plane_curve(parse_poly(args.poly, vars)))
-    f, g, _vars = _parse_pair(args)
-    D = divisor_sub(curve_to_divisor(plane_curve(f)), curve_to_divisor(plane_curve(g)))
-    return svg.render_svg(D)
+    handler, needed = {
+        "subdiv": (_cmd_subdiv, ("poly",)),
+        "curve": (_cmd_curve, ("poly",)),
+        "divisor": (_cmd_divisor, ("num", "den")),
+    }[args.kind]
+    missing = [f"--{name}" for name in needed if getattr(args, name) is None]
+    if missing:
+        raise TropError(f"render --kind {args.kind} needs {' and '.join(missing)}")
+    args.svg = True
+    return handler(args)
 
 
 def _build_parser() -> argparse.ArgumentParser:

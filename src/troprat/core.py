@@ -105,7 +105,7 @@ class TropPoly:
     hashable; arithmetic returns new values.
     """
 
-    __slots__ = ("arity", "_terms", "_hash", "_canonical")
+    __slots__ = ("arity", "_terms", "_hash", "_envelope")
 
     def __init__(self, arity: int, terms: Mapping[Exponent, object] | None = None):
         if arity < 1:
@@ -119,7 +119,7 @@ class TropPoly:
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "_terms", clean)
         object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_canonical", False)
+        object.__setattr__(self, "_envelope", None)
 
     def __setattr__(self, *_):
         raise AttributeError("TropPoly is immutable")
@@ -226,13 +226,13 @@ class TropPoly:
         return TropPoly(self.arity, terms)
 
     def __pow__(self, k: int) -> "TropPoly":
+        if self.is_unit:
+            ((e, c),) = self._terms.items()
+            return TropPoly(self.arity, {tuple(k * i for i in e): c * k})
         if k == 0:
             return TropPoly.constant(self.arity, 0)
         if k < 0:
-            if not self.is_unit:
-                raise TropError("negative power of a non-monomial")
-            ((e, c),) = self._terms.items()
-            return TropPoly(self.arity, {tuple(k * i for i in e): c * k})
+            raise TropError("negative power of a non-monomial")
         out = self
         for _ in range(k - 1):
             out = out * self
@@ -303,78 +303,144 @@ def stack_pair(f: TropPoly, g: TropPoly) -> TropPoly:
 
 
 # ---------------------------------------------------------------------------
-# canonical (concave envelope) form
+# the upper concave envelope and its views
 
 
-def _canonicalize_1d(f: TropPoly) -> TropPoly:
-    pairs = [(e[0], c) for e, c in f.items()]
-    hull = geom.upper_envelope_1d(pairs)
-    lo, hi = min(x for x, _ in pairs), max(x for x, _ in pairs)
-    return TropPoly(
-        1, {(x,): geom.envelope_value_1d(hull, x) for x in range(lo, hi + 1)}
-    )
+class Envelope:
+    """Upper concave envelope of a polynomial's lifted support.
 
+    Built from one hull of the raw terms of `f`; every corner is a raw term,
+    and only the corner exponents are stored.  A chain envelope (arity 1, or
+    a segment or point Newton polygon) has `chain = (origin, step)`: its
+    lattice points are origin + t*step for t = 0, 1, ...  A polygon envelope
+    (full-dimensional Newton polygon) keeps the corners of each facet.
+    """
 
-def _canonicalize_2d(f: TropPoly) -> TropPoly:
-    support = f.support
-    newt = geom.hull2(support)
-    if newt.dim == 0:
-        return f
-    if newt.dim == 1:
-        a = min(newt.vertices)
-        d = geom.primitive(geom._sub(max(newt.vertices), a))
-        params = {}
-        for e in support:
-            t = (e[0] - a[0]) * d[0] + (e[1] - a[1]) * d[1]
-            t //= d[0] * d[0] + d[1] * d[1]
-            params[t] = f.coeff(e)
-        hull = geom.upper_envelope_1d(sorted(params.items()))
-        tmax = max(params)
-        terms = {}
-        for t in range(0, tmax + 1):
-            e = (a[0] + t * d[0], a[1] + t * d[1])
-            terms[e] = geom.envelope_value_1d(hull, t)
-        return TropPoly(2, terms)
-    lifted = [(e, c) for e, c in f.items()]
-    facets, planes = geom.upper_faces_2d(lifted)
-    hulls = [geom.hull2(facet) for facet in facets]
-    terms = {}
-    for q in geom.lattice_points(newt):
-        for cell, plane in zip(hulls, planes):
-            if cell.contains(q):
-                terms[q] = geom.plane_value(plane, q)
-                break
-        else:  # pragma: no cover - facets cover the Newton polygon
-            raise TropError(f"no facet covers {q}")
-    return TropPoly(2, terms)
+    __slots__ = ("f", "chain", "_corners", "_facets", "_poly")
+
+    def __init__(self, f: TropPoly):
+        if f.arity not in (1, 2):
+            raise TropError("canonical form is implemented for arity 1 and 2")
+        terms = f._terms
+        newt = geom.hull2(terms) if f.arity == 2 and len(terms) > 1 else None
+        self.f = f
+        self.chain = self._facets = self._poly = None
+        if newt is not None and newt.dim == 2:
+            facets, _planes = geom.upper_faces_2d(f.items())
+            own = {e: e for e in terms}
+            self._facets = tuple(
+                tuple(own[p] for p in geom.hull2(facet).vertices) for facet in facets
+            )
+            self._corners = tuple(sorted({e for corners in self._facets for e in corners}))
+            return
+        if newt is not None and newt.dim == 1:
+            origin = min(newt.vertices)
+            self.chain = (origin, geom.primitive(geom._sub(max(newt.vertices), origin)))
+        else:  # arity 1, or at most one term
+            self.chain = (min(terms, default=None), (1,) + (0,) * (f.arity - 1))
+        along = {self._t(e): e for e in terms}
+        hull = geom.upper_envelope_1d((t, terms[e]) for t, e in along.items())
+        self._corners = tuple(along[t] for t, _ in hull)
+
+    @property
+    def vertices(self) -> dict:
+        """Corner exponent -> coefficient."""
+        terms = self.f._terms
+        return {e: terms[e] for e in self._corners}
+
+    def _t(self, e) -> int:
+        origin, step = self.chain
+        return sum((x - o) * s for x, o, s in zip(e, origin, step)) // sum(
+            s * s for s in step
+        )
+
+    def _at(self, t) -> Exponent:
+        origin, step = self.chain
+        return tuple(o + t * s for o, s in zip(origin, step))
+
+    def _hull(self) -> list:
+        """The (t, coefficient) corners of a chain, left to right."""
+        return [(self._t(e), self.f._terms[e]) for e in self._corners]
+
+    def _spans(self) -> list:
+        """Consecutive corner pairs of a chain; a single point pairs with itself."""
+        hull = self._hull()
+        return list(zip(hull, hull[1:])) or [(hull[0], hull[0])]
+
+    @property
+    def roots(self) -> list:
+        """(root, multiplicity) at each breakpoint of a chain envelope, in
+        ascending order; the root is where the two adjacent pieces tie."""
+        hull = self._hull()
+        return [
+            (Fraction(c0 - c1, t1 - t0), t1 - t0)
+            for (t0, c0), (t1, c1) in zip(hull, hull[1:])
+        ]
+
+    def cells(self) -> list:
+        """(lattice points, plane) for every linear piece.  The plane (n, d)
+        satisfies n . (e, c) = d on the piece; it is None on a chain."""
+        if self.chain is not None:
+            return [
+                (frozenset(self._at(t) for t in range(t0, t1 + 1)), None)
+                for (t0, _), (t1, _) in self._spans()
+            ]
+        terms = self.f._terms
+        out = []
+        for corners in self._facets:
+            lifted = [(e[0], e[1], terms[e]) for e in corners[:3]]
+            points = geom.lattice_points(geom.Polygon(corners))
+            out.append((frozenset(points), geom._plane3(*lifted)))
+        return out
+
+    @property
+    def poly(self) -> TropPoly:
+        """The canonical form: every lattice point of the Newton polytope with
+        its envelope value.  It refers back to this envelope."""
+        if self._poly is None:
+            if self.chain is None:
+                terms = {
+                    q: geom.plane_value(plane, q)
+                    for cell, plane in self.cells()
+                    for q in cell
+                }
+            else:
+                terms = {}
+                for (t0, c0), (t1, c1) in self._spans():
+                    slope = Fraction(c1 - c0, t1 - t0) if t1 > t0 else 0
+                    for t in range(t0, t1 + 1):
+                        terms[self._at(t)] = c0 + slope * (t - t0)
+            out = TropPoly(self.f.arity, terms)
+            object.__setattr__(out, "_envelope", self)
+            self._poly = out
+        return self._poly
 
 
 @lru_cache(maxsize=8192)
-def _canonical_cached(f: TropPoly) -> TropPoly:
-    if f.arity == 1:
-        out = _canonicalize_1d(f)
-    elif f.arity == 2:
-        out = _canonicalize_2d(f)
-    else:
-        raise TropError("canonical form is implemented for arity 1 and 2")
-    object.__setattr__(out, "_canonical", True)
-    return out
+def _canonical_cached(f: TropPoly) -> Envelope:
+    return Envelope(f)
+
+
+def envelope(f: TropPoly) -> Envelope:
+    """The cached envelope of f; free for a canonical form."""
+    return f._envelope or _canonical_cached(f)
 
 
 def canonicalize(f: TropPoly) -> TropPoly:
     """Concave-envelope representative: support = all lattice points of the
     Newton polytope, coefficients on the upper envelope.  Function-preserving
     and idempotent."""
-    if f.is_bottom or f._canonical or f.is_unit:
+    if f.is_bottom or f.is_unit:
         return f
-    return _canonical_cached(f)
+    return envelope(f).poly
 
 
 def func_eq(f: TropPoly, g: TropPoly) -> bool:
-    """Equality of f and g as functions (canonical forms coincide)."""
+    """Equality of f and g as functions: their envelopes have the same
+    vertices (corner exponents with their coefficients)."""
     if f.arity != g.arity:
         raise DimensionMismatch(f"arity {f.arity} vs {g.arity}")
-    return canonicalize(f).items() == canonicalize(g).items()
+    return envelope(f).vertices == envelope(g).vertices
 
 
 # ---------------------------------------------------------------------------

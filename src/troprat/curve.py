@@ -5,10 +5,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from . import geom
-from .core import TropNum, TropPoly, canonicalize, stack_pair
+from .core import TropNum, TropPoly, envelope, stack_pair
 from .errors import DegenerateInput, DimensionMismatch, TropError
 from .subdiv import Subdivision, cell_endpoints, dual_subdivision
 
@@ -69,21 +68,6 @@ class PlaneCurve:
     subdivision: Subdivision
 
 
-def _cell_vertex(cell, coeff):
-    """The point where every monomial of a 2-cell attains the maximum."""
-    pts = sorted(cell)
-    e0 = pts[0]
-    c0 = coeff[e0]
-    rows = [
-        (e[0] - e0[0], e[1] - e0[1], c0 - coeff[e]) for e in pts[1:]
-    ]
-    for (a1, b1, r1), (a2, b2, r2) in combinations(rows, 2):
-        det = a1 * b2 - a2 * b1
-        if det:
-            return (Fraction(r1 * b2 - r2 * b1, det), Fraction(a1 * r2 - a2 * r1, det))
-    raise TropError("cell is not two-dimensional")
-
-
 def plane_curve(f: TropPoly) -> PlaneCurve:
     """Curve dual to the subdivision: vertices from 2-cells, edges and rays
     from 1-cells, weights from dual lattice lengths."""
@@ -93,12 +77,11 @@ def plane_curve(f: TropPoly) -> PlaneCurve:
         raise DegenerateInput("V(-inf) is the whole plane, not a curve")
     if f.is_unit:
         raise DegenerateInput("a monomial defines an empty hypersurface")
-    g = canonicalize(f)
+    env = envelope(f)
     sub = dual_subdivision(f)
-    coeff = dict(g.items())
-    newt = geom.hull2(g.support)
 
-    if newt.dim == 1:
+    if env.chain is not None:
+        coeff = env.vertices  # the cell endpoints are envelope vertices
         lines = []
         for cell in sub.cells:
             p, q = cell_endpoints(cell)
@@ -111,7 +94,11 @@ def plane_curve(f: TropPoly) -> PlaneCurve:
         lines.sort(key=lambda L: (L.direction, L.base))
         return PlaneCurve((), (), (), tuple(lines), sub)
 
-    vertex_of = {cell: _cell_vertex(cell, coeff) for cell in sub.cells}
+    # every monomial of a cell attains the maximum where x = (n0/n2, n1/n2)
+    vertex_of = {
+        cell: (Fraction(n[0], n[2]), Fraction(n[1], n[2]))
+        for cell, (n, _d) in env.cells()
+    }
     edges = []
     rays = []
     for one_cell, parents in sub.one_cells().items():
@@ -403,20 +390,12 @@ def _rand_q(rng: random.Random, span: int = 8, max_den: int = 64) -> Fraction:
     return Fraction(rng.randint(-span * d, span * d), d)
 
 
-def _envelope_breaks(f: TropPoly):
-    """Breakpoints of a univariate polynomial's piecewise-linear graph."""
-    hull = geom.upper_envelope_1d([(e[0], c) for e, c in f.items()])
-    return [
-        Fraction(c0 - c1, x1 - x0) for (x0, c0), (x1, c1) in zip(hull, hull[1:])
-    ]
-
-
 def _locus_pieces(f: TropPoly):
     """Sampleable pieces of V(f), or an empty list when V(f) is trivial."""
     if f.is_bottom or f.is_unit:
         return []
     if f.arity == 1:
-        return [("root", (b,)) for b in _envelope_breaks(f)]
+        return [("root", (r,)) for r, _mult in envelope(f).roots]
     try:
         C = plane_curve(f)
     except TropError:

@@ -414,17 +414,6 @@ def upper_envelope_1d(pairs):
     return hull
 
 
-def envelope_value_1d(hull, x) -> Fraction:
-    if len(hull) == 1:
-        if x != hull[0][0]:
-            raise ValueError("point outside envelope support")
-        return Fraction(hull[0][1])
-    for (x0, y0), (x1, y1) in zip(hull, hull[1:]):
-        if x0 <= x <= x1:
-            return Fraction(y0) + Fraction(y1 - y0, x1 - x0) * (x - x0)
-    raise ValueError("point outside envelope support")
-
-
 def _plane3(A, B, R):
     """Plane through three lifted points as (n, d) with n·X = d, n_z > 0."""
     n = _cross3(_sub3(B, A), _sub3(R, A))

@@ -11,6 +11,7 @@ from .core import (
     TropPoly,
     TropRational,
     canonicalize,
+    envelope,
     func_eq,
     newton_polygon,
     newton_range,
@@ -75,11 +76,7 @@ def uni_roots(f: TropPoly):
         raise DimensionMismatch("uni_roots needs arity 1")
     if f.is_bottom:
         raise DegenerateInput("-inf has no roots")
-    hull = geom.upper_envelope_1d([(e[0], c) for e, c in f.items()])
-    return [
-        (Fraction(c0 - c1, x1 - x0), x1 - x0)
-        for (x0, c0), (x1, c1) in zip(hull, hull[1:])
-    ]
+    return envelope(f).roots
 
 
 def uni_factor(f: TropPoly) -> FactoredUni:
@@ -87,11 +84,12 @@ def uni_factor(f: TropPoly) -> FactoredUni:
         raise DimensionMismatch("uni_factor needs arity 1")
     if f.is_bottom:
         raise DegenerateInput("-inf cannot be factored")
-    hull = geom.upper_envelope_1d([(e[0], c) for e, c in f.items()])
+    env = envelope(f)
+    vertices = env.vertices
     return FactoredUni(
-        unit_coeff=Fraction(hull[-1][1]),
-        monomial_exp=hull[0][0],
-        roots=tuple(uni_roots(f)),
+        unit_coeff=vertices[max(vertices)],
+        monomial_exp=min(vertices)[0],
+        roots=tuple(env.roots),
     )
 
 
@@ -194,21 +192,16 @@ def _poly_key(p: TropPoly):
     )
 
 
-def _segment_splits(fc: TropPoly, newt):
+def _segment_splits(fc: TropPoly):
     """Splits of a polynomial whose Newton polygon is a segment.
 
     Such a polynomial is a unit times a univariate polynomial in the
     primitive segment direction, so every root yields a linear factor."""
-    a, b = min(newt.vertices), max(newt.vertices)
-    d = geom.primitive((b[0] - a[0], b[1] - a[1]))
-    dd = d[0] * d[0] + d[1] * d[1]
-    along = {}
-    for e, c in fc.items():
-        t = ((e[0] - a[0]) * d[0] + (e[1] - a[1]) * d[1]) // dd
-        along[(t,)] = c
+    env = envelope(fc)
+    _origin, step = env.chain
     out = []
-    for root, _mult in uni_roots(TropPoly(1, along)):
-        linear = TropPoly(2, {d: Fraction(0), (0, 0): root})
+    for root, _mult in env.roots:
+        linear = TropPoly(2, {step: Fraction(0), (0, 0): root})
         g = _residual(fc, linear)
         if g is None or g.is_bottom or g.is_unit:
             continue
@@ -229,7 +222,7 @@ def _splits(f: TropPoly):
     fc = canonicalize(f)
     newt = newton_polygon(f)
     if newt.dim == 1 and geom.lattice_length(*newt.vertices) > 1:
-        return _segment_splits(fc, newt)
+        return _segment_splits(fc)
     out = []
     seen = set()
     for pair in geom.summand_decompositions(newt):

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import geom
-from .core import TropPoly, canonicalize
+from .core import TropPoly, envelope
 from .errors import DegenerateInput, TropError
 
 
@@ -76,60 +76,25 @@ def cell_endpoints(cell):
     return pts[0], pts[-1]
 
 
-def _segment_cells(params: dict):
-    """Group consecutive integer positions between envelope breakpoints."""
-    hull = geom.upper_envelope_1d(sorted(params.items()))
-    breaks = [x for x, _ in hull]
-    if len(breaks) == 1:
-        return [frozenset({breaks[0]})]
-    cells = []
-    for lo, hi in zip(breaks, breaks[1:]):
-        cells.append(frozenset(t for t in params if lo <= t <= hi))
-    return cells
-
-
-def dual_subdivision(f: TropPoly) -> Subdivision:
-    """Projections of the bounded upper faces of the lifted Newton polytope."""
+def _require_subdivision(f: TropPoly):
     if f.is_bottom:
         raise DegenerateInput("the -inf polynomial has no dual subdivision")
     if f.arity not in (1, 2):
         raise TropError("dual subdivisions are implemented for arity 1 and 2")
-    g = canonicalize(f)
-    lifted = g.items()
 
-    if f.arity == 1:
-        params = {e[0]: c for e, c in lifted}
-        cells = [
-            frozenset((t,) for t in cell) for cell in _segment_cells(params)
-        ]
-        return Subdivision(1, lifted, tuple(sorted(cells, key=sorted)))
 
-    support = g.support
-    newt = geom.hull2(support)
-    if newt.dim == 0:
-        cells = [frozenset(support)]
-    elif newt.dim == 1:
-        a = min(newt.vertices)
-        d = geom.primitive(geom._sub(max(newt.vertices), a))
-        dd = d[0] * d[0] + d[1] * d[1]
-        params = {}
-        back = {}
-        for e in support:
-            t = ((e[0] - a[0]) * d[0] + (e[1] - a[1]) * d[1]) // dd
-            params[t] = g.coeff(e)
-            back[t] = e
-        cells = [
-            frozenset(back[t] for t in cell) for cell in _segment_cells(params)
-        ]
-    else:
-        facets, _planes = geom.upper_faces_2d(lifted)
-        cells = facets
-    return Subdivision(2, lifted, tuple(sorted(cells, key=sorted)))
+def dual_subdivision(f: TropPoly) -> Subdivision:
+    """Projections of the bounded upper faces of the lifted Newton polytope."""
+    _require_subdivision(f)
+    env = envelope(f)
+    cells = sorted((cell for cell, _plane in env.cells()), key=sorted)
+    return Subdivision(f.arity, env.poly.items(), tuple(cells))
 
 
 def mcomp(f: TropPoly) -> int:
     """Number of linear regions of f: vertices of its dual subdivision."""
-    return len(dual_subdivision(f).zero_cells())
+    _require_subdivision(f)
+    return len(envelope(f).vertices)
 
 
 def subdiv_eq_translate(s1: Subdivision, s2: Subdivision):

@@ -69,20 +69,24 @@ class _Canvas:
                 f'font-size="12">{label}</text>'
             )
 
-    def clip_ray(self, base, direction):
-        """Largest parameter keeping base + t*direction inside the viewbox."""
-        best = None
+    def clip(self, base, direction, line=False):
+        """Endpoints of the ray from base along direction, or of the whole
+        line through base when `line` is set, cut at the viewbox."""
         bx, by = Fraction(base[0]), Fraction(base[1])
-        for coord, d, lo, hi in (
-            (bx, direction[0], self.x0, self.x1),
-            (by, direction[1], self.y0, self.y1),
-        ):
-            if d == 0:
-                continue
-            bound = Fraction(hi) if d > 0 else Fraction(lo)
-            t = (bound - coord) / d
-            best = t if best is None else min(best, t)
-        return max(best if best is not None else Fraction(0), Fraction(0))
+
+        def far(dx, dy):
+            best = None
+            for coord, d, lo, hi in ((bx, dx, self.x0, self.x1), (by, dy, self.y0, self.y1)):
+                if d == 0:
+                    continue
+                bound = Fraction(hi) if d > 0 else Fraction(lo)
+                t = (bound - coord) / d
+                best = t if best is None else min(best, t)
+            t = max(best if best is not None else Fraction(0), Fraction(0))
+            return (bx + t * dx, by + t * dy)
+
+        dx, dy = direction
+        return (far(-dx, -dy) if line else base), far(dx, dy)
 
     def render(self) -> str:
         return "\n".join([self.header(), *self.parts, "</svg>"])
@@ -133,14 +137,10 @@ def _render_curve(C: PlaneCurve) -> str:
     for e in C.edges:
         canvas.path(e.a, e.b, "edge", label=e.weight if e.weight > 1 else None)
     for r in C.rays:
-        t = canvas.clip_ray(r.base, r.direction)
-        end = (Fraction(r.base[0]) + t * r.direction[0], Fraction(r.base[1]) + t * r.direction[1])
-        canvas.path(r.base, end, "ray", label=r.weight if r.weight > 1 else None)
+        a, b = canvas.clip(r.base, r.direction)
+        canvas.path(a, b, "ray", label=r.weight if r.weight > 1 else None)
     for L in C.lines:
-        t1 = canvas.clip_ray(L.base, L.direction)
-        t2 = canvas.clip_ray(L.base, (-L.direction[0], -L.direction[1]))
-        a = (Fraction(L.base[0]) - t2 * L.direction[0], Fraction(L.base[1]) - t2 * L.direction[1])
-        b = (Fraction(L.base[0]) + t1 * L.direction[0], Fraction(L.base[1]) + t1 * L.direction[1])
+        a, b = canvas.clip(L.base, L.direction, line=True)
         canvas.path(a, b, "line", label=L.weight if L.weight > 1 else None)
     return canvas.render()
 
@@ -162,17 +162,8 @@ def _render_divisor(D: Divisor) -> str:
         dashed = w < 0
         label = w if abs(w) != 1 else None
         if kind == "segment":
-            canvas.path(piece[1], piece[2], "segment", dashed, label)
-        elif kind == "ray":
-            base, d = piece[1], piece[2]
-            t = canvas.clip_ray(base, d)
-            end = (Fraction(base[0]) + t * d[0], Fraction(base[1]) + t * d[1])
-            canvas.path(base, end, "ray", dashed, label)
+            a, b = piece[1], piece[2]
         else:
-            base, d = piece[1], piece[2]
-            t1 = canvas.clip_ray(base, d)
-            t2 = canvas.clip_ray(base, (-d[0], -d[1]))
-            a = (Fraction(base[0]) - t2 * d[0], Fraction(base[1]) - t2 * d[1])
-            b = (Fraction(base[0]) + t1 * d[0], Fraction(base[1]) + t1 * d[1])
-            canvas.path(a, b, "line", dashed, label)
+            a, b = canvas.clip(piece[1], piece[2], line=kind == "line")
+        canvas.path(a, b, kind, dashed, label)
     return canvas.render()

@@ -146,6 +146,24 @@ class TestDeterminismAndErrors:
         code, _out, err = run(capsys, "eval", "--poly", "q + w", "--at", "3")
         assert code == 2
 
+    def test_render_missing_inputs_exit(self, capsys):
+        for argv in (
+            ("render", "--kind", "divisor", "--poly", "x + 0"),
+            ("render", "--kind", "curve"),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and not out and err.startswith("error: "), argv
+
+    def test_negative_depth_exit(self, capsys):
+        code, out, err = run(capsys, "factor", "--poly", "x + y + 0", "--depth", "-1")
+        assert code == 2 and not out and err.startswith("error: ")
+
+    def test_negative_count_exit(self, capsys):
+        code, out, err = run(
+            capsys, "check-duality", "--num", "x + 0", "--den", "x + 1", "--count", "-5"
+        )
+        assert code == 2 and not out and err.startswith("error: ")
+
 
 def _svg_root(text: str):
     return ET.fromstring(text)

@@ -79,6 +79,21 @@ class TestArithmetic:
     def test_add_coefficientwise(self):
         assert trop_add(p1("x + 0"), p1("x + 1")) == p1("x + 1")
 
+    def test_monomial_power_closed_form(self):
+        m = TropPoly.monomial((1, -2), Fraction(1, 2))
+        for k in range(-3, 5):
+            repeated = TropPoly.constant(2, 0)
+            for _ in range(abs(k)):
+                repeated = repeated * m
+            if k < 0:
+                (e, c), = repeated.items()
+                repeated = TropPoly.monomial(tuple(-i for i in e), -c)
+            assert m**k == repeated
+
+    def test_huge_monomial_power_parses_and_evaluates(self):
+        f = p1("x^99999999999999999999")
+        assert f((1,)) == TropNum.of(99999999999999999999)
+
 
 class TestCanonicalize:
     def test_fills_gap(self):
