@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -60,9 +61,16 @@ def _vars_of(args, *sources) -> tuple:
     return _infer_vars([s for s in sources if s])
 
 
+# the parser's number grammar or p/q: no exponent, so no huge int from a short input
+_COORDINATE = re.compile(r"-?[0-9]+(?:\.[0-9]+|/[0-9]+)?")
+
+
 def _parse_point(text: str) -> tuple:
+    parts = [part.strip() for part in text.split(",")]
     try:
-        return tuple(Fraction(part.strip()) for part in text.split(","))
+        if not all(_COORDINATE.fullmatch(part) for part in parts):
+            raise ValueError("coordinates must be integers, decimals or p/q")
+        return tuple(Fraction(part) for part in parts)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad point {text!r}: {exc}", 0) from None
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
+from operator import mul
 from typing import Mapping
 
 from . import geom
@@ -105,7 +107,7 @@ class TropPoly:
     hashable; arithmetic returns new values.
     """
 
-    __slots__ = ("arity", "_terms", "_hash", "_envelope")
+    __slots__ = ("arity", "_terms", "_hash", "_envelope", "_lift")
 
     def __init__(self, arity: int, terms: Mapping[Exponent, object] | None = None):
         if arity < 1:
@@ -120,6 +122,7 @@ class TropPoly:
         object.__setattr__(self, "_terms", clean)
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_envelope", None)
+        object.__setattr__(self, "_lift", None)
 
     def __setattr__(self, *_):
         raise AttributeError("TropPoly is immutable")
@@ -185,18 +188,39 @@ class TropPoly:
 
     # -- evaluation and arithmetic ------------------------------------------
 
-    def __call__(self, point) -> TropNum:
-        p = tuple(as_q(x) for x in point)
+    def peak(self, point) -> tuple:
+        """(top, hits, scale): the max over the terms at `point` is top / scale
+        and `hits` terms attain it; top is None for -inf.  Denominators are
+        cleared once per polynomial (by the lcm m of the coefficients) and once
+        per point (by the lcm d of its coordinates): each m*d*(c + e.p) is an int.
+        """
+        p = [as_q(x) for x in point]
         if len(p) != self.arity:
             raise DimensionMismatch(
                 f"point of dimension {len(p)} for arity {self.arity}"
             )
-        best = None
-        for e, c in self._terms.items():
-            v = c + sum(i * x for i, x in zip(e, p))
-            if best is None or v > best:
-                best = v
-        return TropNum(best)
+        if self._lift is None:
+            m = lcm(*(c.denominator for c in self._terms.values()))
+            lifted = tuple(
+                (e, c.numerator * (m // c.denominator)) for e, c in self._terms.items()
+            )
+            object.__setattr__(self, "_lift", (m, lifted))
+        m, lifted = self._lift
+        d = lcm(*(x.denominator for x in p))
+        q = [m * x.numerator * (d // x.denominator) for x in p]
+        top = None
+        hits = 0
+        for e, c in lifted:
+            v = c * d + sum(map(mul, e, q))
+            if top is None or v > top:
+                top, hits = v, 1
+            elif v == top:
+                hits += 1
+        return top, hits, m * d
+
+    def __call__(self, point) -> TropNum:
+        top, _hits, scale = self.peak(point)
+        return TropNum(None if top is None else Fraction(top, scale))
 
     def _check(self, other: "TropPoly"):
         if self.arity != other.arity:
@@ -388,9 +412,9 @@ class Envelope:
         terms = self.f._terms
         out = []
         for corners in self._facets:
-            lifted = [(e[0], e[1], terms[e]) for e in corners[:3]]
             points = geom.lattice_points(geom.Polygon(corners))
-            out.append((frozenset(points), geom._plane3(*lifted)))
+            plane = geom.plane_through([(e, terms[e]) for e in corners[:3]])
+            out.append((frozenset(points), plane))
         return out
 
     @property
@@ -407,9 +431,12 @@ class Envelope:
             else:
                 terms = {}
                 for (t0, c0), (t1, c1) in self._spans():
-                    slope = Fraction(c1 - c0, t1 - t0) if t1 > t0 else 0
+                    # c0 + (c1 - c0) * (t - t0) / w over the common denominator
+                    w = max(t1 - t0, 1)
+                    m = lcm(c0.denominator, c1.denominator)
+                    a, b = int(c0 * m), int(c1 * m)
                     for t in range(t0, t1 + 1):
-                        terms[self._at(t)] = c0 + slope * (t - t0)
+                        terms[self._at(t)] = Fraction(a * w + (b - a) * (t - t0), m * w)
             out = TropPoly(self.f.arity, terms)
             object.__setattr__(out, "_envelope", self)
             self._poly = out

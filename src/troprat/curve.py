@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import geom
-from .core import TropNum, TropPoly, envelope, stack_pair
+from .core import TropNum, TropPoly, as_q, envelope, stack_pair
 from .errors import DegenerateInput, DimensionMismatch, TropError
 from .subdiv import Subdivision, cell_endpoints, dual_subdivision
 
@@ -17,20 +17,8 @@ def hypersurface_member(f: TropPoly, point) -> bool:
 
     The hypersurface of the -inf polynomial is all of R^n.
     """
-    p = tuple(Fraction(x) for x in point)
-    if len(p) != f.arity:
-        raise DimensionMismatch(f"point of dimension {len(p)} for arity {f.arity}")
-    if f.is_bottom:
-        return True
-    best = None
-    hits = 0
-    for e, c in f.items():
-        v = c + sum(i * x for i, x in zip(e, p))
-        if best is None or v > best:
-            best, hits = v, 1
-        elif v == best:
-            hits += 1
-    return hits >= 2
+    _top, hits, _scale = f.peak(point)
+    return f.is_bottom or hits >= 2
 
 
 @dataclass(frozen=True)
@@ -366,7 +354,7 @@ def graph_duality_check(f: TropPoly, g: TropPoly, samples) -> DualityReport:
     violations = []
     total = 0
     for pt in samples:
-        pt = tuple(Fraction(x) for x in pt)
+        pt = tuple(as_q(x) for x in pt)
         total += 1
         x, t = pt[:-1], TropNum(pt[-1])
         member = hypersurface_member(stacked, pt)

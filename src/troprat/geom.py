@@ -422,6 +422,20 @@ def _plane3(A, B, R):
     return n, _dot3(n, A)
 
 
+def _scaled(lifted):
+    """(m, {(x, y): m * value}) for the lcm m of the values' denominators."""
+    m = lcm(*(c.denominator for _p, c in lifted))
+    return m, {(p[0], p[1]): c.numerator * (m // c.denominator) for p, c in lifted}
+
+
+def plane_through(lifted):
+    """The plane (n, d) in ints, n_z > 0, through three ((x, y), value)
+    points whose projections are not collinear."""
+    m, val = _scaled(lifted)
+    n, d = _plane3(*((x, y, v) for (x, y), v in val.items()))
+    return (n[0], n[1], n[2] * m), d
+
+
 def plane_value(plane, q) -> Fraction:
     n, d = plane
     return Fraction(d - n[0] * q[0] - n[1] * q[1], n[2])
@@ -450,9 +464,13 @@ def upper_faces_2d(lifted):
 
     `lifted` is a sequence of ((x, y), value) pairs with a full-dimensional
     projection.  Returns (facets, planes): parallel lists where each facet is
-    the frozenset of input points lying on the corresponding upper plane.
+    the frozenset of input points lying on the corresponding upper plane, and
+    each plane is (n, d) in ints with n . (x, y, value) = d on its facet.
+    The wrapping runs on the values times the lcm m of their denominators: m
+    is positive, so the facets are the same, and a plane (n0, n1, n2), d of
+    the scaled lift is (n0, n1, n2 * m), d for the given values.
     """
-    val = {(p[0], p[1]): c for p, c in lifted}
+    m, val = _scaled(lifted)
     pts = list(val)
     hull = hull2(pts)
     if hull.dim != 2:
@@ -490,13 +508,14 @@ def upper_faces_2d(lifted):
                 n, d = _plane3(A, B, lift3[best])
         if best is None:
             continue
-        key = (_primitive3(n), plane_value((n, d), (0, 0)))
+        g = gcd(*n)  # divides d too: d = n . A for an int point A
+        key = (n[0] // g, n[1] // g, n[2] // g, d // g)
         if key in plane_keys:
             continue
         plane_keys[key] = True
         facet = frozenset(p for p in pts if _dot3(n, lift3[p]) == d)
         facets.append(facet)
-        planes.append((n, d))
+        planes.append(((n[0], n[1], n[2] * m), d))
         corners = hull2(facet).vertices
         for (u, v), _members in _one_cells_of(facet, corners):
             queue.append((v, u))

@@ -24,6 +24,21 @@ def unique_gradient(f: TropPoly, point):
     return arg if count == 1 else None
 
 
+def max_and_hits(f: TropPoly, point):
+    """(max, number of terms attaining it) of the defining max of f at
+    `point`, in Fraction arithmetic term by term; max is None for -inf."""
+    p = tuple(Fraction(x) for x in point)
+    best = None
+    hits = 0
+    for e, c in f.items():
+        v = c + sum(i * x for i, x in zip(e, p))
+        if best is None or v > best:
+            best, hits = v, 1
+        elif v == best:
+            hits += 1
+    return best, hits
+
+
 def _region_count_1d(f: TropPoly) -> int:
     items = f.items()
     if len(items) == 1:

@@ -146,6 +146,11 @@ class TestDeterminismAndErrors:
         code, _out, err = run(capsys, "eval", "--poly", "q + w", "--at", "3")
         assert code == 2
 
+    def test_point_outside_number_grammar_exit(self, capsys):
+        for at in ("1e400", "1E2", "inf", "1_000", "0x10"):
+            code, out, err = run(capsys, "eval", "--poly", "x + 0", "--at", at)
+            assert code == 2 and not out and err.startswith("error: bad point"), at
+
     def test_render_missing_inputs_exit(self, capsys):
         for argv in (
             ("render", "--kind", "divisor", "--poly", "x + 0"),

@@ -46,6 +46,12 @@ class TestMembership:
     def test_monomial_is_empty(self):
         assert not hypersurface_member(p2("5*x*y^2"), (1, 1))
 
+    def test_float_point_rejected(self):
+        f = p1("x + 0")
+        for check in (f, lambda p: hypersurface_member(f, p)):
+            with pytest.raises(TypeError):
+                check((0.0,))
+
 
 class TestPlaneCurve:
     def test_tropical_line(self):
@@ -238,6 +244,11 @@ class TestGraphDuality:
         report = graph_duality_check(f, g, [(2, 0), (0, -2), (0, 7)])
         assert report.ok
         assert report.member_hits >= 2  # (2,0) on the graph, (0,-2) below V(f)
+
+    def test_float_samples_rejected(self):
+        f, g = p1("x + 0"), p1("x + 1")
+        with pytest.raises(TypeError):
+            graph_duality_check(f, g, [(0.5, 0.25)])
 
     def test_bottom_numerator(self):
         z = TropPoly.zero(1)

@@ -1,0 +1,104 @@
+"""Property tests for the fraction-free kernel: exact evaluation and tie
+counts against the term-by-term Fraction loop in `oracles`, and the integer
+upper hull against its defining properties."""
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from troprat import TropPoly, geom, hypersurface_member, plane_curve, uni_roots
+from oracles import max_and_hits
+
+BIG_DEN = 10**9
+KERNEL = settings(max_examples=150, deadline=None)
+
+rationals = st.builds(
+    Fraction,
+    st.integers(-(10**12), 10**12),
+    st.integers(1, BIG_DEN),
+)
+small_rationals = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
+
+
+def laurent_polys(arity, coefficients=rationals):
+    exponents = st.tuples(*[st.integers(-4, 4)] * arity)
+    return st.dictionaries(exponents, coefficients, min_size=1, max_size=8).map(
+        lambda terms: TropPoly(arity, terms)
+    )
+
+
+def points(arity):
+    return st.tuples(*[st.one_of(st.integers(-50, 50), rationals)] * arity)
+
+
+def _agrees(f, p):
+    best, hits = max_and_hits(f, p)
+    assert f(p).value == best
+    assert hypersurface_member(f, p) == (hits >= 2)
+    return hits
+
+
+@KERNEL
+@given(st.data())
+def test_eval_and_membership_match_fraction_loop(data):
+    arity = data.draw(st.sampled_from([1, 2]))
+    f = data.draw(laurent_polys(arity))
+    _agrees(f, data.draw(points(arity)))
+
+
+def _locus_points(f):
+    """Points of V(f): univariate roots, or curve vertices, edge midpoints
+    and line anchors of a plane curve."""
+    if f.arity == 1:
+        return [(r,) for r, _mult in uni_roots(f)]
+    C = plane_curve(f)
+    mids = [tuple((a + b) / 2 for a, b in zip(e.a, e.b)) for e in C.edges]
+    return list(C.vertices) + mids + [L.base for L in C.lines]
+
+
+@KERNEL
+@given(st.data())
+def test_ties_on_the_locus_match_fraction_loop(data):
+    arity = data.draw(st.sampled_from([1, 2]))
+    f = data.draw(laurent_polys(arity).filter(lambda f: len(f) >= 2))
+    on = _locus_points(f)
+    for p in on:
+        assert _agrees(f, p) >= 2, (f, p)
+    for p in on[:3]:  # just off the locus
+        _agrees(f, (p[0] + Fraction(1, BIG_DEN),) + tuple(p[1:]))
+
+
+def lifted_sets():
+    """((x, y), value) lists with a full-dimensional projection."""
+    pts = st.lists(
+        st.tuples(st.integers(-5, 5), st.integers(-5, 5)), min_size=3, max_size=14, unique=True
+    ).filter(lambda ps: geom.hull2(ps).dim == 2)
+    return pts.flatmap(
+        lambda ps: st.lists(
+            st.one_of(small_rationals, rationals), min_size=len(ps), max_size=len(ps)
+        ).map(lambda cs: list(zip(ps, cs)))
+    )
+
+
+@KERNEL
+@given(lifted_sets(), st.builds(Fraction, st.integers(1, BIG_DEN), st.integers(1, BIG_DEN)))
+def test_facets_invariant_under_positive_scaling(lifted, r):
+    facets, _planes = geom.upper_faces_2d(lifted)
+    scaled, _ = geom.upper_faces_2d([(p, c * r) for p, c in lifted])
+    assert scaled == facets
+
+
+@KERNEL
+@given(lifted_sets())
+def test_planes_hold_for_the_given_values(lifted):
+    facets, planes = geom.upper_faces_2d(lifted)
+    value = dict(lifted)
+    for facet, (n, d) in zip(facets, planes):
+        assert all(isinstance(x, int) for x in (*n, d)) and n[2] > 0
+        for (x, y), c in lifted:
+            h = n[0] * x + n[1] * y + n[2] * c
+            # on the plane exactly on the facet, strictly below elsewhere
+            assert (h == d) == ((x, y) in facet) and h <= d
+        assert all(geom.plane_value((n, d), p) == value[p] for p in facet)
+    # the facets' projections tile the projected hull
+    area = sum(geom.area2(geom.hull2(facet)) for facet in facets)
+    assert area == geom.area2(geom.hull2(value))
