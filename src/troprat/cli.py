@@ -8,12 +8,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from fractions import Fraction
 
 from . import rep, svg
-from .core import TropPoly, TropRational
+from .core import TropRational, as_q
 from .curve import (
     Divisor,
     curve_to_divisor,
@@ -61,22 +60,11 @@ def _vars_of(args, *sources) -> tuple:
     return _infer_vars([s for s in sources if s])
 
 
-# the parser's number grammar or p/q: no exponent, so no huge int from a short input
-_COORDINATE = re.compile(r"-?[0-9]+(?:\.[0-9]+|/[0-9]+)?")
-
-
 def _parse_point(text: str) -> tuple:
-    parts = [part.strip() for part in text.split(",")]
     try:
-        if not all(_COORDINATE.fullmatch(part) for part in parts):
-            raise ValueError("coordinates must be integers, decimals or p/q")
-        return tuple(Fraction(part) for part in parts)
+        return tuple(as_q(part.strip()) for part in text.split(","))
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad point {text!r}: {exc}", 0) from None
-
-
-def _poly_json(f: TropPoly, vars) -> str:
-    return format_poly(f, vars)
 
 
 def _divisor_json(D: Divisor) -> list:

@@ -6,26 +6,32 @@ and every operation is a pure function.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
-from operator import mul
+from math import gcd, lcm
+from operator import add, mul
 from typing import Mapping
 
 from . import geom
 from .errors import DegenerateInput, DimensionMismatch, TropError
 
 Exponent = tuple
+# the parser's number grammar or p/q: no exponent, so no huge int from a short input
+_COORDINATE = re.compile(r"-?[0-9]+(?:\.[0-9]+|/[0-9]+)?")
 
 
 def as_q(x) -> Fraction:
-    """Coerce an exact rational-like value; floats are rejected."""
+    """Coerce an exact rational-like value; floats are rejected, and a string
+    must be an integer, a decimal or p/q."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
+        if not _COORDINATE.fullmatch(x):
+            raise ValueError(f"{x!r} is not an integer, decimal or p/q")
         return Fraction(x)
     raise TypeError(f"expected an exact rational, got {type(x).__name__!s}")
 
@@ -103,11 +109,14 @@ BOTTOM = TropNum(None)
 class TropPoly:
     """A tropical Laurent polynomial: finite map exponent -> finite rational.
 
+    Stored as ints over one denominator: the coefficient at e is _ints[e] / m,
+    m the lcm of the reduced denominators, so equal polynomials store equal
+    data.  Arithmetic runs on the ints; `items()` and `coeff()` build Fractions.
     The empty map is the polynomial -inf.  Instances are immutable and
     hashable; arithmetic returns new values.
     """
 
-    __slots__ = ("arity", "_terms", "_hash", "_envelope", "_lift")
+    __slots__ = ("arity", "_m", "_ints", "_hash", "_envelope")
 
     def __init__(self, arity: int, terms: Mapping[Exponent, object] | None = None):
         if arity < 1:
@@ -118,11 +127,32 @@ class TropPoly:
             if len(e) != arity or not all(isinstance(i, int) for i in e):
                 raise DimensionMismatch(f"exponent {e} does not fit arity {arity}")
             clean[e] = as_q(c)
+        m = lcm(*(c.denominator for c in clean.values()))
+        self._fill(arity, m, {e: c.numerator * (m // c.denominator) for e, c in clean.items()})
+
+    def _fill(self, arity, m, ints):
         object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "_terms", clean)
+        object.__setattr__(self, "_m", m)
+        object.__setattr__(self, "_ints", ints)
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_envelope", None)
-        object.__setattr__(self, "_lift", None)
+
+    @classmethod
+    def _from_ints(cls, arity: int, m: int, ints: dict) -> "TropPoly":
+        """The polynomial ints[e] / m, m > 0, with gcd(m, *ints) divided out."""
+        if m > 1:
+            g = gcd(m, *ints.values())
+            if g > 1:
+                m //= g
+                ints = {e: c // g for e, c in ints.items()}
+        out = object.__new__(cls)
+        out._fill(arity, m, ints)
+        return out
+
+    def _over(self, m: int) -> dict:
+        """The ints over the denominator m, a multiple of this polynomial's."""
+        k = m // self._m
+        return self._ints if k == 1 else {e: c * k for e, c in self._ints.items()}
 
     def __setattr__(self, *_):
         raise AttributeError("TropPoly is immutable")
@@ -151,35 +181,39 @@ class TropPoly:
 
     @property
     def is_bottom(self) -> bool:
-        return not self._terms
+        return not self._ints
 
     @property
     def is_unit(self) -> bool:
-        return len(self._terms) == 1
+        return len(self._ints) == 1
 
     @property
     def support(self):
-        return tuple(sorted(self._terms))
+        return tuple(sorted(self._ints))
 
     def items(self):
-        return tuple(sorted(self._terms.items()))
+        m = self._m
+        return tuple((e, Fraction(c, m)) for e, c in sorted(self._ints.items()))
 
     def coeff(self, exponent) -> Fraction | None:
-        return self._terms.get(tuple(exponent))
+        c = self._ints.get(tuple(exponent))
+        return None if c is None else Fraction(c, self._m)
 
     def __len__(self):
-        return len(self._terms)
+        return len(self._ints)
 
     def __eq__(self, other):
         return (
             isinstance(other, TropPoly)
             and self.arity == other.arity
-            and self._terms == other._terms
+            and self._m == other._m
+            and self._ints == other._ints
         )
 
     def __hash__(self):
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.arity, frozenset(self._terms.items()))))
+            key = (self.arity, self._m, frozenset(self._ints.items()))
+            object.__setattr__(self, "_hash", hash(key))
         return self._hash
 
     def __repr__(self):
@@ -190,27 +224,21 @@ class TropPoly:
 
     def peak(self, point) -> tuple:
         """(top, hits, scale): the max over the terms at `point` is top / scale
-        and `hits` terms attain it; top is None for -inf.  Denominators are
-        cleared once per polynomial (by the lcm m of the coefficients) and once
-        per point (by the lcm d of its coordinates): each m*d*(c + e.p) is an int.
+        and `hits` terms attain it; top is None for -inf.  The coefficients
+        are stored over m, and the point is cleared once by the lcm d of its
+        denominators: each m*d*(c + e.p) is an int.
         """
         p = [as_q(x) for x in point]
         if len(p) != self.arity:
             raise DimensionMismatch(
                 f"point of dimension {len(p)} for arity {self.arity}"
             )
-        if self._lift is None:
-            m = lcm(*(c.denominator for c in self._terms.values()))
-            lifted = tuple(
-                (e, c.numerator * (m // c.denominator)) for e, c in self._terms.items()
-            )
-            object.__setattr__(self, "_lift", (m, lifted))
-        m, lifted = self._lift
+        m = self._m
         d = lcm(*(x.denominator for x in p))
         q = [m * x.numerator * (d // x.denominator) for x in p]
         top = None
         hits = 0
-        for e, c in lifted:
+        for e, c in self._ints.items():
             v = c * d + sum(map(mul, e, q))
             if top is None or v > top:
                 top, hits = v, 1
@@ -230,29 +258,33 @@ class TropPoly:
 
     def __add__(self, other: "TropPoly") -> "TropPoly":
         self._check(other)
-        terms = dict(self._terms)
-        for e, c in other._terms.items():
+        m = lcm(self._m, other._m)
+        terms = dict(self._over(m))
+        for e, c in other._over(m).items():
             cur = terms.get(e)
             if cur is None or c > cur:
                 terms[e] = c
-        return TropPoly(self.arity, terms)
+        return TropPoly._from_ints(self.arity, m, terms)
 
     def __mul__(self, other: "TropPoly") -> "TropPoly":
         self._check(other)
+        m = lcm(self._m, other._m)
+        right = other._over(m).items()
         terms: dict = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+        get = terms.get
+        for e1, c1 in self._over(m).items():
+            for e2, c2 in right:
+                e = tuple(map(add, e1, e2))
                 c = c1 + c2
-                cur = terms.get(e)
+                cur = get(e)
                 if cur is None or c > cur:
                     terms[e] = c
-        return TropPoly(self.arity, terms)
+        return TropPoly._from_ints(self.arity, m, terms)
 
     def __pow__(self, k: int) -> "TropPoly":
         if self.is_unit:
-            ((e, c),) = self._terms.items()
-            return TropPoly(self.arity, {tuple(k * i for i in e): c * k})
+            ((e, c),) = self._ints.items()
+            return TropPoly._from_ints(self.arity, self._m, {tuple(k * i for i in e): c * k})
         if k == 0:
             return TropPoly.constant(self.arity, 0)
         if k < 0:
@@ -265,15 +297,15 @@ class TropPoly:
     def shift(self, v) -> "TropPoly":
         """Multiply by the unit x^v: translate every exponent by v."""
         v = tuple(v)
-        return TropPoly(
-            self.arity,
-            {tuple(a + b for a, b in zip(e, v)): c for e, c in self._terms.items()},
-        )
+        ints = {tuple(map(add, e, v)): c for e, c in self._ints.items()}
+        return TropPoly._from_ints(self.arity, self._m, ints)
 
     def scale(self, c) -> "TropPoly":
         """Multiply by the constant c (add it to every coefficient)."""
         c = as_q(c)
-        return TropPoly(self.arity, {e: cc + c for e, cc in self._terms.items()})
+        m = lcm(self._m, c.denominator)
+        s = c.numerator * (m // c.denominator)
+        return TropPoly._from_ints(self.arity, m, {e: v + s for e, v in self._over(m).items()})
 
 
 def eval_poly(f: TropPoly, point) -> TropNum:
@@ -317,13 +349,10 @@ def stack_pair(f: TropPoly, g: TropPoly) -> TropPoly:
         raise DimensionMismatch("stack_pair needs equal arities")
     if g.is_bottom:
         raise DegenerateInput("denominator must not be -inf")
-    terms = {e + (0,): c for e, c in f.items()}
-    for e, c in g.items():
-        key = e + (1,)
-        cur = terms.get(key)
-        if cur is None or c > cur:
-            terms[key] = c
-    return TropPoly(f.arity + 1, terms)
+    m = lcm(f._m, g._m)
+    terms = {e + (0,): c for e, c in f._over(m).items()}
+    terms.update((e + (1,), c) for e, c in g._over(m).items())
+    return TropPoly._from_ints(f.arity + 1, m, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -333,11 +362,11 @@ def stack_pair(f: TropPoly, g: TropPoly) -> TropPoly:
 class Envelope:
     """Upper concave envelope of a polynomial's lifted support.
 
-    Built from one hull of the raw terms of `f`; every corner is a raw term,
-    and only the corner exponents are stored.  A chain envelope (arity 1, or
-    a segment or point Newton polygon) has `chain = (origin, step)`: its
-    lattice points are origin + t*step for t = 0, 1, ...  A polygon envelope
-    (full-dimensional Newton polygon) keeps the corners of each facet.
+    Built from one hull of the raw terms (ints) of `f`; every corner is a raw
+    term, and only the corner exponents are stored, in lex order.  A chain
+    envelope (arity 1, or a segment or point Newton polygon) has `chain =
+    (origin, step)`: its lattice points are origin + t*step for t = 0, 1, ...
+    A polygon envelope (full-dimensional Newton polygon) keeps facet corners.
     """
 
     __slots__ = ("f", "chain", "_corners", "_facets", "_poly")
@@ -345,12 +374,12 @@ class Envelope:
     def __init__(self, f: TropPoly):
         if f.arity not in (1, 2):
             raise TropError("canonical form is implemented for arity 1 and 2")
-        terms = f._terms
+        terms = f._ints
         newt = geom.hull2(terms) if f.arity == 2 and len(terms) > 1 else None
         self.f = f
         self.chain = self._facets = self._poly = None
         if newt is not None and newt.dim == 2:
-            facets, _planes = geom.upper_faces_2d(f.items())
+            facets, _planes = geom.upper_faces_2d(terms.items())
             own = {e: e for e in terms}
             self._facets = tuple(
                 tuple(own[p] for p in geom.hull2(facet).vertices) for facet in facets
@@ -369,8 +398,8 @@ class Envelope:
     @property
     def vertices(self) -> dict:
         """Corner exponent -> coefficient."""
-        terms = self.f._terms
-        return {e: terms[e] for e in self._corners}
+        ints, m = self.f._ints, self.f._m
+        return {e: Fraction(ints[e], m) for e in self._corners}
 
     def _t(self, e) -> int:
         origin, step = self.chain
@@ -383,8 +412,8 @@ class Envelope:
         return tuple(o + t * s for o, s in zip(origin, step))
 
     def _hull(self) -> list:
-        """The (t, coefficient) corners of a chain, left to right."""
-        return [(self._t(e), self.f._terms[e]) for e in self._corners]
+        """The (t, int coefficient) corners of a chain, left to right."""
+        return [(self._t(e), self.f._ints[e]) for e in self._corners]
 
     def _spans(self) -> list:
         """Consecutive corner pairs of a chain; a single point pairs with itself."""
@@ -397,47 +426,50 @@ class Envelope:
         ascending order; the root is where the two adjacent pieces tie."""
         hull = self._hull()
         return [
-            (Fraction(c0 - c1, t1 - t0), t1 - t0)
+            (Fraction(c0 - c1, (t1 - t0) * self.f._m), t1 - t0)
             for (t0, c0), (t1, c1) in zip(hull, hull[1:])
         ]
 
     def cells(self) -> list:
         """(lattice points, plane) for every linear piece.  The plane (n, d)
-        satisfies n . (e, c) = d on the piece; it is None on a chain."""
+        is primitive, with n . (e, c) = d on the piece; it is None on a chain."""
         if self.chain is not None:
             return [
                 (frozenset(self._at(t) for t in range(t0, t1 + 1)), None)
                 for (t0, _), (t1, _) in self._spans()
             ]
-        terms = self.f._terms
+        ints, m = self.f._ints, self.f._m
         out = []
         for corners in self._facets:
             points = geom.lattice_points(geom.Polygon(corners))
-            plane = geom.plane_through([(e, terms[e]) for e in corners[:3]])
-            out.append((frozenset(points), plane))
+            (n0, n1, n2), d = geom.plane_through([(e, ints[e]) for e in corners[:3]])
+            g = gcd(n0, n1, n2 * m, d)  # the coefficients are the ints / m
+            out.append((frozenset(points), ((n0 // g, n1 // g, n2 * m // g), d // g)))
         return out
 
     @property
     def poly(self) -> TropPoly:
         """The canonical form: every lattice point of the Newton polytope with
-        its envelope value.  It refers back to this envelope."""
+        its envelope value, built in ints.  It refers back to this envelope."""
         if self._poly is None:
+            terms = {}
             if self.chain is None:
-                terms = {
-                    q: geom.plane_value(plane, q)
-                    for cell, plane in self.cells()
-                    for q in cell
-                }
+                cells = self.cells()
+                den = lcm(*(n[2] for _cell, (n, _d) in cells))
+                for cell, (n, d) in cells:
+                    k = den // n[2]
+                    for q in cell:
+                        terms[q] = (d - n[0] * q[0] - n[1] * q[1]) * k
             else:
-                terms = {}
-                for (t0, c0), (t1, c1) in self._spans():
-                    # c0 + (c1 - c0) * (t - t0) / w over the common denominator
+                spans = self._spans()
+                widths = lcm(*(max(t1 - t0, 1) for (t0, _), (t1, _) in spans))
+                den = self.f._m * widths
+                for (t0, a), (t1, b) in spans:
+                    # (a + (b - a) * (t - t0) / w) / m over the common denominator
                     w = max(t1 - t0, 1)
-                    m = lcm(c0.denominator, c1.denominator)
-                    a, b = int(c0 * m), int(c1 * m)
                     for t in range(t0, t1 + 1):
-                        terms[self._at(t)] = Fraction(a * w + (b - a) * (t - t0), m * w)
-            out = TropPoly(self.f.arity, terms)
+                        terms[self._at(t)] = (a * w + (b - a) * (t - t0)) * (widths // w)
+            out = TropPoly._from_ints(self.f.arity, den, terms)
             object.__setattr__(out, "_envelope", self)
             self._poly = out
         return self._poly
@@ -467,7 +499,9 @@ def func_eq(f: TropPoly, g: TropPoly) -> bool:
     vertices (corner exponents with their coefficients)."""
     if f.arity != g.arity:
         raise DimensionMismatch(f"arity {f.arity} vs {g.arity}")
-    return envelope(f).vertices == envelope(g).vertices
+    a, b = envelope(f), envelope(g)  # corner values compared by cross-multiplying
+    fi, fm, gi, gm = a.f._ints, a.f._m, b.f._ints, b.f._m
+    return a._corners == b._corners and all(fi[e] * gm == gi[e] * fm for e in a._corners)
 
 
 # ---------------------------------------------------------------------------

@@ -423,7 +423,7 @@ def duality_samples(f: TropPoly, g: TropPoly, count: int, seed: int):
     while len(out) < count:
         mode = len(out) % 5
         x = tuple(_rand_q(rng) for _ in range(n))
-        phi = f(x) / g(x)
+        phi = f(x) / g(x) if mode in (0, 4) else None  # only these modes read it
         if mode == 0 and not phi.is_bottom:
             out.append(x + (phi.value,))
             continue

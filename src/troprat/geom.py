@@ -436,11 +436,6 @@ def plane_through(lifted):
     return (n[0], n[1], n[2] * m), d
 
 
-def plane_value(plane, q) -> Fraction:
-    n, d = plane
-    return Fraction(d - n[0] * q[0] - n[1] * q[1], n[2])
-
-
 def _collinear_between(a, b, p) -> bool:
     if _cross(a, b, p) != 0:
         return False

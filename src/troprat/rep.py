@@ -5,6 +5,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import add, sub
 
 from . import geom
 from .core import (
@@ -143,20 +145,16 @@ def _residual(fc: TropPoly, g: TropPoly) -> TropPoly | None:
     Newt(g): the shifts keeping the whole support of g inside.
     """
     gc = canonicalize(g)
-    fsup = set(fc.support)
     shifts = None
-    for i in gc.support:
-        ks = {tuple(a - b for a, b in zip(e, i)) for e in fsup}
+    for i in gc._ints:
+        ks = {tuple(map(sub, e, i)) for e in fc._ints}
         shifts = ks if shifts is None else shifts & ks
         if not shifts:
             return None
-    terms = {}
-    for k in shifts:
-        terms[k] = min(
-            fc.coeff(tuple(a + b for a, b in zip(k, i))) - gc.coeff(i)
-            for i in gc.support
-        )
-    return TropPoly(fc.arity, terms)
+    m = lcm(fc._m, gc._m)
+    fi, gi = fc._over(m), gc._over(m).items()
+    terms = {k: min(fi[tuple(map(add, k, i))] - c for i, c in gi) for k in shifts}
+    return TropPoly._from_ints(fc.arity, m, terms)
 
 
 def try_divide(f: TropPoly, g: TropPoly) -> TropPoly | None:

@@ -13,17 +13,21 @@ from .errors import DegenerateInput, TropError
 class Subdivision:
     """Lattice subdivision of a Newton polytope.
 
-    `lifted` are the generators (canonical support with envelope lifts) and
-    each cell is the set of lattice points lying on one bounded upper face.
-    For arity 1 the points are 1-tuples and every top cell is a segment.
+    `lifted` are the generators (the support of `canonical` with its envelope
+    lifts) and each cell is the set of lattice points on one bounded upper
+    face.  For arity 1 the points are 1-tuples and every top cell is a segment.
     """
 
     arity: int
-    lifted: tuple
+    canonical: TropPoly
     cells: tuple
 
+    @property
+    def lifted(self) -> tuple:
+        return self.canonical.items()
+
     def points(self):
-        return tuple(p for p, _ in self.lifted)
+        return self.canonical.support
 
     def top_dim(self) -> int:
         return max(_cell_dim(c) for c in self.cells)
@@ -88,13 +92,13 @@ def dual_subdivision(f: TropPoly) -> Subdivision:
     _require_subdivision(f)
     env = envelope(f)
     cells = sorted((cell for cell, _plane in env.cells()), key=sorted)
-    return Subdivision(f.arity, env.poly.items(), tuple(cells))
+    return Subdivision(f.arity, env.poly, tuple(cells))
 
 
 def mcomp(f: TropPoly) -> int:
     """Number of linear regions of f: vertices of its dual subdivision."""
     _require_subdivision(f)
-    return len(envelope(f).vertices)
+    return len(envelope(f)._corners)
 
 
 def subdiv_eq_translate(s1: Subdivision, s2: Subdivision):

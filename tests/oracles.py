@@ -193,3 +193,56 @@ def on_curve(C, point) -> bool:
         if collinear(L.base, tip):
             return True
     return False
+
+
+# The term-by-term Fraction arithmetic of TropPoly before it stored ints over
+# one denominator.  Each takes polynomials and returns the term map
+# {exponent: Fraction} of the result.
+
+
+def poly_add(f: TropPoly, g: TropPoly) -> dict:
+    terms = dict(f.items())
+    for e, c in g.items():
+        cur = terms.get(e)
+        if cur is None or c > cur:
+            terms[e] = c
+    return terms
+
+
+def poly_mul(f: TropPoly, g: TropPoly) -> dict:
+    terms: dict = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            c = c1 + c2
+            cur = terms.get(e)
+            if cur is None or c > cur:
+                terms[e] = c
+    return terms
+
+
+def poly_shift(f: TropPoly, v) -> dict:
+    return {tuple(a + b for a, b in zip(e, v)): c for e, c in f.items()}
+
+
+def poly_scale(f: TropPoly, c) -> dict:
+    return {e: cc + Fraction(c) for e, cc in f.items()}
+
+
+def residual(fc: TropPoly, gc: TropPoly) -> dict | None:
+    """The maximal h with g*h <= f pointwise, for canonical fc and gc: min over
+    the support of gc of fc(k + i) - gc(i), on the shifts k that keep the
+    support of gc inside that of fc; None when there is no such shift."""
+    shifts = None
+    for i in gc.support:
+        ks = {tuple(a - b for a, b in zip(e, i)) for e in fc.support}
+        shifts = ks if shifts is None else shifts & ks
+        if not shifts:
+            return None
+    return {
+        k: min(
+            fc.coeff(tuple(a + b for a, b in zip(k, i))) - gc.coeff(i)
+            for i in gc.support
+        )
+        for k in shifts
+    }

@@ -46,6 +46,14 @@ class TestTropNum:
         assert BOTTOM < TropNum.of(-100)
         assert TropNum.of(Fraction(1, 3)) < TropNum.of(Fraction(1, 2))
 
+    def test_string_outside_number_grammar_rejected(self):
+        # Fraction() alone would expand "1e400" into a 401-digit integer
+        for text in ("1e400", "1E2", " 1", "1 ", "1_0", "inf", "0x10", "+1", "1.", ".5"):
+            with pytest.raises(ValueError):
+                TropNum.of(text)
+        assert TropNum.of("-3/6") == TropNum.of(Fraction(-1, 2))
+        assert TropNum.of("2.50") == TropNum.of(Fraction(5, 2))
+
 
 class TestEval:
     def test_examples(self):

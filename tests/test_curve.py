@@ -52,6 +52,12 @@ class TestMembership:
             with pytest.raises(TypeError):
                 check((0.0,))
 
+    def test_exponent_notation_point_rejected(self):
+        f = p1("x + 0")
+        for check in (f, lambda p: hypersurface_member(f, p)):
+            with pytest.raises(ValueError):
+                check(("1e400",))
+
 
 class TestPlaneCurve:
     def test_tropical_line(self):

@@ -1,12 +1,17 @@
 """Property tests for the fraction-free kernel: exact evaluation and tie
-counts against the term-by-term Fraction loop in `oracles`, and the integer
-upper hull against its defining properties."""
+counts against the term-by-term Fraction loop in `oracles`, the integer
+upper hull against its defining properties, and the int-over-one-denominator
+representation (arithmetic, equality, hashing) against the Fraction
+arithmetic kept in `oracles`."""
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 from hypothesis import given, settings, strategies as st
 
-from troprat import TropPoly, geom, hypersurface_member, plane_curve, uni_roots
-from oracles import max_and_hits
+from troprat import TropPoly, canonicalize, geom, hypersurface_member, plane_curve, uni_roots
+from troprat.rep import _residual
+from oracles import max_and_hits, poly_add, poly_mul, poly_scale, poly_shift, residual
 
 BIG_DEN = 10**9
 KERNEL = settings(max_examples=150, deadline=None)
@@ -19,11 +24,14 @@ rationals = st.builds(
 small_rationals = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
 
 
-def laurent_polys(arity, coefficients=rationals):
-    exponents = st.tuples(*[st.integers(-4, 4)] * arity)
-    return st.dictionaries(exponents, coefficients, min_size=1, max_size=8).map(
-        lambda terms: TropPoly(arity, terms)
-    )
+def exponents(arity):
+    return st.tuples(*[st.integers(-4, 4)] * arity)
+
+
+def laurent_polys(arity, coefficients=rationals, min_size=1, max_size=8):
+    return st.dictionaries(
+        exponents(arity), coefficients, min_size=min_size, max_size=max_size
+    ).map(lambda terms: TropPoly(arity, terms))
 
 
 def points(arity):
@@ -98,7 +106,88 @@ def test_planes_hold_for_the_given_values(lifted):
             h = n[0] * x + n[1] * y + n[2] * c
             # on the plane exactly on the facet, strictly below elsewhere
             assert (h == d) == ((x, y) in facet) and h <= d
-        assert all(geom.plane_value((n, d), p) == value[p] for p in facet)
+        assert all(Fraction(d - n[0] * x - n[1] * y, n[2]) == value[(x, y)] for x, y in facet)
     # the facets' projections tile the projected hull
     area = sum(geom.area2(geom.hull2(facet)) for facet in facets)
     assert area == geom.area2(geom.hull2(value))
+
+
+def _matches(p, terms):
+    """p has exactly the oracle's terms, in sorted order, and is the same
+    polynomial (equal and equally hashed) as one built from those terms."""
+    assert p.items() == tuple(sorted(terms.items()))
+    q = TropPoly(p.arity, terms)
+    assert p == q and hash(p) == hash(q)
+
+
+@KERNEL
+@given(st.data())
+def test_arithmetic_matches_fraction_oracles(data):
+    arity = data.draw(st.sampled_from([1, 2]))
+    f = data.draw(laurent_polys(arity, min_size=0))
+    g = data.draw(laurent_polys(arity, min_size=0))
+    c = data.draw(st.one_of(st.integers(-50, 50), rationals))
+    v = data.draw(exponents(arity))
+    _matches(f + g, poly_add(f, g))
+    _matches(f * g, poly_mul(f, g))
+    _matches(f.shift(v), poly_shift(f, v))
+    _matches(f.scale(c), poly_scale(f, c))
+
+
+@KERNEL
+@given(st.data())
+def test_residual_matches_fraction_oracle(data):
+    arity = data.draw(st.sampled_from([1, 2]))
+    fc = canonicalize(data.draw(laurent_polys(arity)))
+    g = data.draw(laurent_polys(arity, max_size=3))
+    h = _residual(fc, g)
+    want = residual(fc, canonicalize(g))
+    if want is None:
+        assert h is None
+    else:
+        _matches(h, want)
+
+
+@KERNEL
+@given(st.data())
+def test_equal_polynomials_by_different_routes(data):
+    arity = data.draw(st.sampled_from([1, 2]))
+    p = data.draw(laurent_polys(arity, min_size=0))
+    q = data.draw(laurent_polys(arity))
+    c = data.draw(rationals)
+    routes = [
+        p,
+        p.scale(Fraction(1, 2)).scale(Fraction(1, 2)).scale(-1),
+        p.scale(c).scale(-c),
+        p + p,
+        p.shift((1,) * arity).shift((-1,) * arity),
+        TropPoly(arity, dict(p.items())),
+    ]
+    for r in routes:
+        assert r == p and hash(r) == hash(p)
+    half = p.scale(Fraction(1, 2)).scale(Fraction(1, 2))
+    assert half == p.scale(1) and hash(half) == hash(p.scale(1))
+    assert (p * q).scale(c) == p * q.scale(c) == p.scale(c) * q
+    assert hash((p * q).scale(c)) == hash(p.scale(c) * q)
+
+
+@KERNEL
+@given(st.data())
+def test_pow_is_repeated_product(data):
+    arity = data.draw(st.sampled_from([1, 2]))
+    f = data.draw(laurent_polys(arity, max_size=4))
+    k = data.draw(st.integers(1, 6))
+    assert f**k == reduce(mul, [f] * k)
+    assert f**0 == TropPoly.constant(arity, 0)
+
+
+@KERNEL
+@given(st.data())
+def test_canonicalize_is_idempotent(data):
+    arity = data.draw(st.sampled_from([1, 2]))
+    f = data.draw(laurent_polys(arity))
+    fc = canonicalize(f)
+    assert canonicalize(fc) == fc
+    # rebuilt from its terms, so the envelope is computed afresh
+    rebuilt = TropPoly(arity, dict(fc.items()))
+    assert canonicalize(rebuilt) == fc and hash(canonicalize(rebuilt)) == hash(fc)
