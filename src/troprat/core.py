@@ -258,13 +258,19 @@ class TropPoly:
 
     def __add__(self, other: "TropPoly") -> "TropPoly":
         self._check(other)
-        m = lcm(self._m, other._m)
-        terms = dict(self._over(m))
-        for e, c in other._over(m).items():
-            cur = terms.get(e)
-            if cur is None or c > cur:
-                terms[e] = c
-        return TropPoly._from_ints(self.arity, m, terms)
+        return TropPoly._sum(self.arity, (self, other))
+
+    @classmethod
+    def _sum(cls, arity: int, polys) -> "TropPoly":
+        """The tropical sum of polynomials of one arity, merged in one pass."""
+        m = lcm(*(p._m for p in polys))
+        terms: dict = {}
+        for p in polys:
+            for e, c in p._over(m).items():
+                cur = terms.get(e)
+                if cur is None or c > cur:
+                    terms[e] = c
+        return cls._from_ints(arity, m, terms)
 
     def __mul__(self, other: "TropPoly") -> "TropPoly":
         self._check(other)

@@ -272,11 +272,6 @@ class Divisor:
         forward = geom.primitive_of_rational(*direction) == d
         return self._weight_on(key, t, None) if forward else self._weight_on(key, None, t)
 
-    def weight_on_segment(self, a, b) -> int | None:
-        key = _line_key(a, (b[0] - a[0], b[1] - a[1]))
-        t0, t1 = sorted((_param(key, a), _param(key, b)))
-        return self._weight_on(key, t0, t1)
-
     def pieces(self):
         """Geometric pieces: (kind, data..., weight) for display purposes."""
         out = []

@@ -61,23 +61,6 @@ class Polygon:
             return [(vs[0], vs[1])]
         return [(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs))]
 
-    def contains(self, p) -> bool:
-        vs = self.vertices
-        if len(vs) == 1:
-            return tuple(p) == vs[0]
-        if len(vs) == 2:
-            a, b = vs
-            if _cross(a, b, p) != 0:
-                return False
-            lo, hi = min(a, b), max(a, b)
-            return lo <= tuple(p) <= hi
-        return all(_cross(a, b, p) >= 0 for a, b in self.edges())
-
-    def bbox(self):
-        xs = [v[0] for v in self.vertices]
-        ys = [v[1] for v in self.vertices]
-        return min(xs), min(ys), max(xs), max(ys)
-
 
 def hull2(points) -> Polygon:
     """Exact convex hull (monotone chain); drops collinear boundary points."""
@@ -144,16 +127,32 @@ def _require_lattice(P: Polygon):
         raise NonLatticePolygon(f"not a lattice polygon: {P.vertices}")
 
 
-def lattice_points(P: Polygon):
-    """All integer points of a lattice polygon, sorted."""
-    _require_lattice(P)
-    x0, y0, x1, y1 = P.bbox()
+def _column_bounds(chain, rounding):
+    """The y of a chain with vertices by increasing x, rounded by `rounding(num,
+    den)`, at each integer x it spans; its other edges bound a vertical one."""
     out = []
-    for x in range(int(x0), int(x1) + 1):
-        for y in range(int(y0), int(y1) + 1):
-            if P.contains((x, y)):
-                out.append((x, y))
+    for (ax, ay), (bx, by) in zip(chain, chain[1:]):
+        if ax != bx:
+            for x in range(ax + 1 if out else ax, bx + 1):
+                out.append(rounding(ay * (bx - ax) + (x - ax) * (by - ay), bx - ax))
     return out
+
+
+def lattice_points(P: Polygon):
+    """All integer points of a lattice polygon, sorted, one column at a time."""
+    _require_lattice(P)
+    vs = [(int(x), int(y)) for x, y in P.vertices]
+    k = vs.index(max(vs))
+    (x0, y0), (x1, y1) = vs[0], vs[k]
+    if x0 == x1:  # a point or a vertical segment
+        return [(x0, y) for y in range(y0, y1 + 1)]
+    # ccw from the lex-min vertex the lower chain runs to the lex-max one, and
+    # the rest, read backwards, is the upper chain
+    lows = _column_bounds(vs[: k + 1], lambda a, b: -(-a // b))
+    highs = _column_bounds(vs[:1] + vs[:k - 1:-1], lambda a, b: a // b)
+    columns = zip(range(x0, x1 + 1), lows, highs)
+    return [(x, y) for x, lo, hi in columns for y in range(lo, hi + 1)]
+
 
 def boundary_lattice_count(P: Polygon) -> int:
     _require_lattice(P)
@@ -414,14 +413,6 @@ def upper_envelope_1d(pairs):
     return hull
 
 
-def _plane3(A, B, R):
-    """Plane through three lifted points as (n, d) with n·X = d, n_z > 0."""
-    n = _cross3(_sub3(B, A), _sub3(R, A))
-    if n[2] < 0:
-        n = tuple(-x for x in n)
-    return n, _dot3(n, A)
-
-
 def _scaled(lifted):
     """(m, {(x, y): m * value}) for the lcm m of the values' denominators."""
     m = lcm(*(c.denominator for _p, c in lifted))
@@ -432,8 +423,11 @@ def plane_through(lifted):
     """The plane (n, d) in ints, n_z > 0, through three ((x, y), value)
     points whose projections are not collinear."""
     m, val = _scaled(lifted)
-    n, d = _plane3(*((x, y, v) for (x, y), v in val.items()))
-    return (n[0], n[1], n[2] * m), d
+    A, B, R = ((x, y, v) for (x, y), v in val.items())
+    n = _cross3(_sub3(B, A), _sub3(R, A))
+    if n[2] < 0:
+        n = tuple(-x for x in n)
+    return (n[0], n[1], n[2] * m), _dot3(n, A)
 
 
 def _collinear_between(a, b, p) -> bool:
@@ -466,11 +460,9 @@ def upper_faces_2d(lifted):
     the scaled lift is (n0, n1, n2 * m), d for the given values.
     """
     m, val = _scaled(lifted)
-    pts = list(val)
-    hull = hull2(pts)
+    hull = hull2(val)
     if hull.dim != 2:
         raise ValueError("upper_faces_2d needs a full-dimensional projection")
-    lift3 = {p: (p[0], p[1], val[p]) for p in pts}
 
     # seed with the upper-hull edges of every boundary face: the 1-d envelope
     # of the lifts along each hull edge (interior lattice points may be lifted
@@ -478,7 +470,7 @@ def upper_faces_2d(lifted):
     queue = deque()
     for a, b in hull.edges():
         on_edge = {}
-        for p in pts:
+        for p in val:
             if _collinear_between(a, b, p):
                 t = (p[0] - a[0]) * (b[0] - a[0]) + (p[1] - a[1]) * (b[1] - a[1])
                 on_edge[t] = p
@@ -486,33 +478,37 @@ def upper_faces_2d(lifted):
         for (t0, _), (t1, _) in zip(chain, chain[1:]):
             queue.append((on_edge[t0], on_edge[t1]))
 
-    plane_keys = {}
+    # a queued edge (a, b) is a ccw corner edge of the facet on its left, as
+    # adjacent facets share the corners of their common edge: skip known ones
+    known = set()
     facets = []
     planes = []
     while queue:
         a, b = queue.popleft()
-        A, B = lift3[a], lift3[b]
-        best = None
-        n = d = None
-        for r in pts:
-            if _cross(a, b, r) <= 0:
+        if (a, b) in known:
+            continue
+        (ax, ay), az = a, val[a]
+        ux, uy, uz = b[0] - ax, b[1] - ay, val[b] - az
+        # n = u x w for the best r so far (w = r - a); r beats it when n . w > 0.
+        # n_z > 0 for every r left of a -> b, so n2 stays 0 only if there is none
+        n0 = n1 = n2 = 0
+        for (rx, ry), rz in val.items():
+            wx, wy = rx - ax, ry - ay
+            nz = ux * wy - uy * wx
+            if nz <= 0:
                 continue
-            R = lift3[r]
-            if best is None or _dot3(n, R) > d:
-                best = r
-                n, d = _plane3(A, B, lift3[best])
-        if best is None:
+            wz = rz - az
+            if n2 == 0 or n0 * wx + n1 * wy + n2 * wz > 0:
+                n0, n1, n2 = uy * wz - uz * wy, uz * wx - ux * wz, nz
+        if n2 == 0:
             continue
-        g = gcd(*n)  # divides d too: d = n . A for an int point A
-        key = (n[0] // g, n[1] // g, n[2] // g, d // g)
-        if key in plane_keys:
-            continue
-        plane_keys[key] = True
-        facet = frozenset(p for p in pts if _dot3(n, lift3[p]) == d)
+        d = n0 * ax + n1 * ay + n2 * az
+        facet = frozenset(p for p, z in val.items() if n0 * p[0] + n1 * p[1] + n2 * z == d)
         facets.append(facet)
-        planes.append(((n[0], n[1], n[2] * m), d))
+        planes.append(((n0, n1, n2 * m), d))
         corners = hull2(facet).vertices
-        for (u, v), _members in _one_cells_of(facet, corners):
+        for u, v in zip(corners, corners[1:] + corners[:1]):
+            known.add((u, v))
             queue.append((v, u))
 
     order = sorted(range(len(facets)), key=lambda i: tuple(sorted(facets[i])))

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Union
 
 from .core import TropPoly
-from .errors import LexError, ParseError
+from .errors import LexError, ParseError, TropError
 
 NUMBER = "Number"
 VARIABLE = "Variable"
@@ -275,27 +275,27 @@ def fold_ast(node, arity: int) -> TropPoly:
     if isinstance(node, PolyNode):
         if node.bottom:
             return TropPoly.zero(arity)
-        out = fold_ast(node.terms[0], arity)
-        for term in node.terms[1:]:
-            out = out + fold_ast(term, arity)
-        return out
+        return TropPoly._sum(arity, [fold_ast(term, arity) for term in node.terms])
     if isinstance(node, TermNode):
-        out = TropPoly.constant(arity, 0)
+        # numbers and variables add up to one monomial; only parenthesised
+        # factors are multiplied as polynomials
+        exponent, coeff, out = [0] * arity, Fraction(0), None
         for factor in node.factors:
-            out = out * fold_ast(factor, arity)
-        return out
-    if isinstance(node, FactorNode):
-        base = fold_ast(node.base, arity)
-        if node.power is None:
-            return base
-        try:
-            return base**node.power
-        except Exception as exc:
-            raise ParseError(str(exc), node.position) from None
-    if isinstance(node, NumberLit):
-        return TropPoly.constant(arity, node.value)
-    if isinstance(node, VarRef):
-        return TropPoly.variable(node.index, arity)
+            base, k = factor.base, 1 if factor.power is None else factor.power
+            if isinstance(base, NumberLit):
+                coeff += base.value * k
+            elif isinstance(base, VarRef):
+                exponent[base.index] += k
+            else:
+                p = fold_ast(base, arity)
+                try:
+                    p = p**k
+                except TropError as exc:
+                    raise ParseError(str(exc), factor.position) from None
+                out = p if out is None else out * p
+        if out is None:
+            return TropPoly.monomial(exponent, coeff)
+        return out.shift(exponent).scale(coeff)
     raise TypeError(f"not a syntax node: {node!r}")
 
 

@@ -142,18 +142,21 @@ def _residual(fc: TropPoly, g: TropPoly) -> TropPoly | None:
     """Raw residuation: the maximal h with g*h <= f pointwise.
 
     `fc` must be canonical.  h is supported on the erosion of Newt(f) by
-    Newt(g): the shifts keeping the whole support of g inside.
+    Newt(g): the shifts keeping the whole support of g inside.  Only the
+    corners of g's envelope are read: they span Newt(g), and on each cell
+    of g the concave fc minus the affine g is least at a corner.
     """
-    gc = canonicalize(g)
+    env = envelope(g)
+    m = lcm(fc._m, env.f._m)
+    fi, lift = fc._over(m), m // env.f._m
+    corners = [(i, env.f._ints[i] * lift) for i in env._corners]
     shifts = None
-    for i in gc._ints:
-        ks = {tuple(map(sub, e, i)) for e in fc._ints}
+    for i, _c in corners:
+        ks = {tuple(map(sub, e, i)) for e in fi}
         shifts = ks if shifts is None else shifts & ks
         if not shifts:
             return None
-    m = lcm(fc._m, gc._m)
-    fi, gi = fc._over(m), gc._over(m).items()
-    terms = {k: min(fi[tuple(map(add, k, i))] - c for i, c in gi) for k in shifts}
+    terms = {k: min(fi[tuple(map(add, k, i))] - c for i, c in corners) for k in shifts}
     return TropPoly._from_ints(fc.arity, m, terms)
 
 

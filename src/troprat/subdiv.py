@@ -29,9 +29,6 @@ class Subdivision:
     def points(self):
         return self.canonical.support
 
-    def top_dim(self) -> int:
-        return max(_cell_dim(c) for c in self.cells)
-
     def zero_cells(self) -> frozenset:
         """Vertices of the subdivision (corners of its cells)."""
         out = set()

@@ -15,6 +15,12 @@ from conftest import (
     rand_fraction,
 )
 
+X, Y = TropPoly.variable(0, 2), TropPoly.variable(1, 2)
+
+
+def C(value):
+    return TropPoly.constant(2, Fraction(value))
+
 
 class TestTokenize:
     def test_simple(self):
@@ -83,6 +89,24 @@ class TestParse:
     def test_negative_power_of_sum_rejected(self):
         with pytest.raises(ParseError):
             p1("(x + 0)^-1")
+
+    def test_negative_power_error_names_the_inner_factor(self):
+        with pytest.raises(ParseError) as err:
+            p1("3 + ((x + 0)^-1)^2")
+        assert err.value.position == 5
+
+    @pytest.mark.parametrize(
+        "src, product",
+        [
+            ("3x^2y(x + 0)^2(1/2)", lambda: C(3) * X**2 * Y * (X + C(0)) ** 2 * C(Fraction(1, 2))),
+            ("x^-1 y^0 (-2)^3", lambda: X**-1 * Y**0 * C(-2) ** 3),
+            ("(x + y)^0 x", lambda: (X + Y) ** 0 * X),
+            ("2(x + y)(x + 0)1.5y^-2", lambda: C(2) * (X + Y) * (X + C(0)) * C(1.5) * Y**-2),
+            ("(x)^-2(y + 1)^2", lambda: X**-2 * (Y + C(1)) ** 2),
+        ],
+    )
+    def test_term_is_the_product_of_its_factors(self, src, product):
+        assert p2(src) == C(0) * product()
 
     def test_empty_variable_list(self):
         with pytest.raises(ParseError):
