@@ -10,6 +10,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from math import gcd, lcm
 from operator import add, mul
 from typing import Mapping
@@ -381,20 +382,18 @@ class Envelope:
         if f.arity not in (1, 2):
             raise TropError("canonical form is implemented for arity 1 and 2")
         terms = f._ints
-        newt = geom.hull2(terms) if f.arity == 2 and len(terms) > 1 else None
         self.f = f
         self.chain = self._facets = self._poly = None
-        if newt is not None and newt.dim == 2:
-            facets, _planes = geom.upper_faces_2d(terms.items())
-            own = {e: e for e in terms}
-            self._facets = tuple(
-                tuple(own[p] for p in geom.hull2(facet).vertices) for facet in facets
-            )
-            self._corners = tuple(sorted({e for corners in self._facets for e in corners}))
-            return
-        if newt is not None and newt.dim == 1:
-            origin = min(newt.vertices)
-            self.chain = (origin, geom.primitive(geom._sub(max(newt.vertices), origin)))
+        if f.arity == 2 and len(terms) > 1:
+            a, b = islice(terms, 2)
+            if any(geom._cross(a, b, p) for p in terms):  # a polygon
+                _facets, _planes, corners = geom.upper_faces_2d(terms.items())
+                own = {e: e for e in terms}
+                self._facets = tuple(tuple(own[p] for p in cs) for cs in corners)
+                self._corners = tuple(sorted({e for cs in self._facets for e in cs}))
+                return
+            origin = min(terms)  # a segment, from its lex-min to its lex-max end
+            self.chain = (origin, geom.primitive(geom._sub(max(terms), origin)))
         else:  # arity 1, or at most one term
             self.chain = (min(terms, default=None), (1,) + (0,) * (f.arity - 1))
         along = {self._t(e): e for e in terms}

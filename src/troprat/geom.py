@@ -11,7 +11,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import combinations, product as iter_product
+from itertools import combinations
 from math import gcd, lcm
 
 from .errors import NonLatticePolygon, PolygonTooLarge
@@ -352,12 +352,43 @@ def normalize_origin(P: Polygon) -> Polygon:
     return P.translate((-m[0], -m[1]))
 
 
+def _zero_sum_picks(edges):
+    """The picks (t_e in [0, len_e] per edge, in order) whose edge vectors sum
+    to zero, in lexicographic order.  A pick and its complement (len_e - t_e)
+    make the same pair of summands, so only the smaller of the two is walked.
+
+    This is the partial-sum search of Gao and Lauder: reach[i] holds every
+    sum the edges from i on can make, so the walk from the first edge only
+    descends into a prefix whose sum some suffix can cancel.
+    """
+    n = len(edges)
+    reach = [None] * n + [{(0, 0)}]
+    for i in range(n - 1, 0, -1):
+        (dx, dy), c = edges[i]
+        reach[i] = {(x + dx * t, y + dy * t) for x, y in reach[i + 1] for t in range(c + 1)}
+    picks = [0] * n
+
+    def walk(i, x, y, tied):
+        if i == n:
+            yield tuple(picks)
+            return
+        (dx, dy), c = edges[i]
+        for t in range(c // 2 + 1 if tied else c + 1):
+            sx, sy = x + dx * t, y + dy * t
+            if (-sx, -sy) in reach[i + 1]:
+                picks[i] = t
+                yield from walk(i + 1, sx, sy, tied and 2 * t == c)
+
+    return walk(0, 0, 0, True)
+
+
 def summand_decompositions(P: Polygon, max_edge_sum: int = 24):
     """All unordered pairs (Q, R) of non-point lattice summands with Q+R = P.
 
     Works on the primitive edge multiset: a summand picks t_e in [0, len_e]
-    per direction subject to the picks summing to zero.  Summands are
-    translated so their lex-min vertex is the origin.
+    per direction subject to the picks summing to zero, and the rest of each
+    edge goes to its partner.  Summands are translated so their lex-min
+    vertex is the origin.
     """
     _require_lattice(P)
     if P.dim == 0:
@@ -375,24 +406,17 @@ def summand_decompositions(P: Polygon, max_edge_sum: int = 24):
         raise PolygonTooLarge(f"{combos} candidate edge subsets is too many")
     target = normalize_origin(P)
     found = set()
-    for picks in iter_product(*(range(c + 1) for c in lens)):
-        if all(t == 0 for t in picks) or all(t == c for t, c in zip(picks, lens)):
-            continue
-        sx = sum(d[0] * t for (d, _), t in zip(edges, picks))
-        sy = sum(d[1] * t for (d, _), t in zip(edges, picks))
-        if sx != 0 or sy != 0:
+    for picks in _zero_sum_picks(edges):
+        if not any(picks):
             continue
         q = _polygon_from_edges([(d, t) for (d, _), t in zip(edges, picks)])
         r = _polygon_from_edges(
             [(d, c - t) for (d, c), t in zip(edges, picks)]
         )
         q, r = normalize_origin(q), normalize_origin(r)
-        pair = tuple(sorted((q, r), key=lambda poly: poly.vertices))
-        if pair in found:
-            continue
         if minkowski_sum2(q, r) != target:
             continue
-        found.add(pair)
+        found.add(tuple(sorted((q, r), key=lambda poly: poly.vertices)))
     return tuple(sorted(found, key=lambda pr: (pr[0].vertices, pr[1].vertices)))
 
 
@@ -452,9 +476,10 @@ def upper_faces_2d(lifted):
     """Facets of the upper hull of lifted plane points, by gift wrapping.
 
     `lifted` is a sequence of ((x, y), value) pairs with a full-dimensional
-    projection.  Returns (facets, planes): parallel lists where each facet is
-    the frozenset of input points lying on the corresponding upper plane, and
-    each plane is (n, d) in ints with n . (x, y, value) = d on its facet.
+    projection.  Returns (facets, planes, corners): parallel lists where each
+    facet is the frozenset of input points lying on the corresponding upper
+    plane, each plane is (n, d) in ints with n . (x, y, value) = d on its
+    facet, and the corners are the facet's vertices as `hull2` orders them.
     The wrapping runs on the values times the lcm m of their denominators: m
     is positive, so the facets are the same, and a plane (n0, n1, n2), d of
     the scaled lift is (n0, n1, n2 * m), d for the given values.
@@ -483,6 +508,7 @@ def upper_faces_2d(lifted):
     known = set()
     facets = []
     planes = []
+    vertices = []
     while queue:
         a, b = queue.popleft()
         if (a, b) in known:
@@ -507,9 +533,10 @@ def upper_faces_2d(lifted):
         facets.append(facet)
         planes.append(((n0, n1, n2 * m), d))
         corners = hull2(facet).vertices
+        vertices.append(corners)
         for u, v in zip(corners, corners[1:] + corners[:1]):
             known.add((u, v))
             queue.append((v, u))
 
     order = sorted(range(len(facets)), key=lambda i: tuple(sorted(facets[i])))
-    return [facets[i] for i in order], [planes[i] for i in order]
+    return tuple([out[i] for i in order] for out in (facets, planes, vertices))

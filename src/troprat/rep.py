@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import add, sub
 
 from . import geom
@@ -147,9 +147,15 @@ def _residual(fc: TropPoly, g: TropPoly) -> TropPoly | None:
     of g the concave fc minus the affine g is least at a corner.
     """
     env = envelope(g)
-    m = lcm(fc._m, env.f._m)
-    fi, lift = fc._over(m), m // env.f._m
-    corners = [(i, env.f._ints[i] * lift) for i in env._corners]
+    return _residual_at(fc, env.f._m, [(i, env.f._ints[i]) for i in env._corners])
+
+
+def _residual_at(fc: TropPoly, m_g: int, corners) -> TropPoly | None:
+    """`_residual` by a g given as its envelope corners: (exponent, int)
+    pairs, each int the coefficient times m_g."""
+    m = lcm(fc._m, m_g)
+    fi, lift = fc._over(m), m // m_g
+    corners = [(i, c * lift) for i, c in corners]
     shifts = None
     for i, _c in corners:
         ks = {tuple(map(sub, e, i)) for e in fi}
@@ -158,6 +164,13 @@ def _residual(fc: TropPoly, g: TropPoly) -> TropPoly | None:
             return None
     terms = {k: min(fi[tuple(map(add, k, i))] - c for i, c in corners) for k in shifts}
     return TropPoly._from_ints(fc.arity, m, terms)
+
+
+def _seeded_residual(fc: TropPoly, summand: geom.Polygon) -> TropPoly | None:
+    """`_residual` by the all-zero polynomial on the lattice points of a
+    summand.  Its envelope is one flat facet, whose corners are the summand's
+    vertices with value 0, so neither the seed nor its envelope is built."""
+    return _residual_at(fc, 1, [(v, 0) for v in summand.vertices])
 
 
 def try_divide(f: TropPoly, g: TropPoly) -> TropPoly | None:
@@ -187,10 +200,20 @@ def unit_normalize(f: TropPoly) -> TropPoly:
     return shifted.scale(-shifted.coeff(anchor))
 
 
-def _poly_key(p: TropPoly):
-    return tuple(
-        (e, (c.numerator, c.denominator)) for e, c in p.items()
-    )
+def _unit_key(p: TropPoly) -> tuple:
+    """The terms of `unit_normalize(p)` as (exponent, (numerator,
+    denominator)) pairs in exponent order, computed on p's ints."""
+    ints, m = p._ints, p._m
+    if not ints:
+        return ()
+    mins = tuple(map(min, zip(*ints)))
+    base = ints[min(ints)]
+    out = []
+    for e in sorted(ints):
+        c = ints[e] - base
+        g = gcd(c, m)
+        out.append((tuple(map(sub, e, mins)), (c // g, m // g)))
+    return tuple(out)
 
 
 def _segment_splits(fc: TropPoly):
@@ -228,8 +251,7 @@ def _splits(f: TropPoly):
     seen = set()
     for pair in geom.summand_decompositions(newt):
         for summand in pair:
-            seed = TropPoly(2, {p: 0 for p in geom.lattice_points(summand)})
-            g = _residual(fc, seed)
+            g = _seeded_residual(fc, summand)
             if g is None or g.is_bottom or g.is_unit:
                 continue
             h = _residual(fc, g)
@@ -240,9 +262,7 @@ def _splits(f: TropPoly):
                 g = g2
             if not func_eq(g * h, f):
                 continue
-            key = tuple(
-                sorted((_poly_key(unit_normalize(g)), _poly_key(unit_normalize(h))))
-            )
+            key = tuple(sorted((_unit_key(g), _unit_key(h))))
             if key in seen:
                 continue
             seen.add(key)
@@ -265,7 +285,7 @@ def enumerate_factorizations(f: TropPoly, depth: int = 8):
     memo: dict = {}
 
     def complete(p: TropPoly, budget: int):
-        key = _poly_key(unit_normalize(canonicalize(p)))
+        key = _unit_key(canonicalize(p))
         if key in memo:
             return memo[key]
         trivial = frozenset({(key,)})
@@ -284,8 +304,7 @@ def enumerate_factorizations(f: TropPoly, depth: int = 8):
         memo[key] = frozenset(results)
         return memo[key]
 
-    norm = unit_normalize(canonicalize(f))
-    found = {(_poly_key(norm),)} | set(complete(f, depth))
+    found = {(_unit_key(canonicalize(f)),)} | set(complete(f, depth))
     factorizations = []
     for multiset in sorted(found):
         factorizations.append(

@@ -1,16 +1,26 @@
-"""Reference implementations of the upper hull and the lattice-point scan.
+"""Reference implementations of the upper hull, the lattice-point scan and
+the Minkowski summand search.
 
 These are the straightforward versions that `troprat.geom` replaced: gift
 wrapping that scans every point from every queued edge and drops a facet it
-has seen before by its primitive plane, and a bounding-box scan that tests
-each candidate point against every edge.  The tests require the library to
+has seen before by its primitive plane, a bounding-box scan that tests each
+candidate point against every edge, and a summand search that tries every
+pick of the product of the edge lengths.  The tests require the library to
 return exactly what these return.  They live apart from `oracles.py`, which
 the benchmark's correctness checks import.
 """
 from collections import deque
+from itertools import product
 from math import gcd, lcm
 
-from troprat.geom import hull2, upper_envelope_1d
+from troprat.geom import (
+    _edge_multiset,
+    _polygon_from_edges,
+    hull2,
+    minkowski_sum2,
+    normalize_origin,
+    upper_envelope_1d,
+)
 
 
 def _cross(o, a, b):
@@ -48,7 +58,8 @@ def _collinear_between(a, b, p) -> bool:
 
 
 def upper_faces_2d(lifted):
-    """(facets, planes) of the upper hull, as `geom.upper_faces_2d` returns."""
+    """(facets, planes, corners) of the upper hull, as `geom.upper_faces_2d`
+    returns them."""
     m = lcm(*(c.denominator for _p, c in lifted))
     val = {(p[0], p[1]): c.numerator * (m // c.denominator) for p, c in lifted}
     pts = list(val)
@@ -71,6 +82,7 @@ def upper_faces_2d(lifted):
     plane_keys = set()
     facets = []
     planes = []
+    vertices = []
     while queue:
         a, b = queue.popleft()
         A, B = lift3[a], lift3[b]
@@ -94,11 +106,12 @@ def upper_faces_2d(lifted):
         facets.append(facet)
         planes.append(((n[0], n[1], n[2] * m), d))
         corners = hull2(facet).vertices
+        vertices.append(corners)
         for i, u in enumerate(corners):
             queue.append((corners[(i + 1) % len(corners)], u))
 
     order = sorted(range(len(facets)), key=lambda i: tuple(sorted(facets[i])))
-    return [facets[i] for i in order], [planes[i] for i in order]
+    return tuple([out[i] for i in order] for out in (facets, planes, vertices))
 
 
 def _contains(vs, p) -> bool:
@@ -121,3 +134,31 @@ def lattice_points(P):
         for y in range(min(ys), max(ys) + 1)
         if _contains(vs, (x, y))
     ]
+
+
+def zero_sum_picks(edges):
+    """Every pick (t_e in [0, len_e] per edge) of the product of the edge
+    lengths whose edge vectors sum to zero, in lexicographic order."""
+    for picks in product(*(range(c + 1) for _d, c in edges)):
+        sx = sum(d[0] * t for (d, _), t in zip(edges, picks))
+        sy = sum(d[1] * t for (d, _), t in zip(edges, picks))
+        if sx == 0 and sy == 0:
+            yield picks
+
+
+def summand_decompositions(P):
+    """The summand pairs of a lattice polygon, as `geom.summand_decompositions`
+    returns them, from every zero-sum pick of the product of the edge lengths."""
+    edges = _edge_multiset(P)
+    lens = [c for _, c in edges]
+    target = normalize_origin(P)
+    found = set()
+    for picks in zero_sum_picks(edges):
+        if all(t == 0 for t in picks) or all(t == c for t, c in zip(picks, lens)):
+            continue
+        q = normalize_origin(_polygon_from_edges([(d, t) for (d, _), t in zip(edges, picks)]))
+        r = normalize_origin(_polygon_from_edges([(d, c - t) for (d, c), t in zip(edges, picks)]))
+        pair = tuple(sorted((q, r), key=lambda poly: poly.vertices))
+        if pair not in found and minkowski_sum2(q, r) == target:
+            found.add(pair)
+    return tuple(sorted(found, key=lambda pr: (pr[0].vertices, pr[1].vertices)))

@@ -107,7 +107,7 @@ def test_collinear_boundary_runs(w, h, plane, bumps):
 )
 def test_all_equal_lifts_make_one_facet(points, value):
     lifted = [(p, value) for p in points]
-    facets, _planes = geom.upper_faces_2d(lifted)
+    facets, _planes, _corners = geom.upper_faces_2d(lifted)
     assert facets == [frozenset(points)]
     _same_hull(lifted)
 

@@ -90,15 +90,15 @@ def lifted_sets():
 @KERNEL
 @given(lifted_sets(), st.builds(Fraction, st.integers(1, BIG_DEN), st.integers(1, BIG_DEN)))
 def test_facets_invariant_under_positive_scaling(lifted, r):
-    facets, _planes = geom.upper_faces_2d(lifted)
-    scaled, _ = geom.upper_faces_2d([(p, c * r) for p, c in lifted])
+    facets, _planes, _corners = geom.upper_faces_2d(lifted)
+    scaled, _, _ = geom.upper_faces_2d([(p, c * r) for p, c in lifted])
     assert scaled == facets
 
 
 @KERNEL
 @given(lifted_sets())
 def test_planes_hold_for_the_given_values(lifted):
-    facets, planes = geom.upper_faces_2d(lifted)
+    facets, planes, _corners = geom.upper_faces_2d(lifted)
     value = dict(lifted)
     for facet, (n, d) in zip(facets, planes):
         assert all(isinstance(x, int) for x in (*n, d)) and n[2] > 0

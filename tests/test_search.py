@@ -1,0 +1,102 @@
+"""The factorization search against the straightforward versions it replaced:
+the summand pairs against trying every pick of the edge product (kept in
+`hull_oracles`), the residuation seeded from a summand's vertices against the
+all-zero seed on its lattice points, and the integer memo key against the key
+read from `unit_normalize` through `items()`."""
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import hull_oracles
+from troprat import PolygonTooLarge, TropPoly, canonicalize, geom
+from troprat.rep import _residual, _seeded_residual, _unit_key, unit_normalize
+
+SEARCH = settings(max_examples=200, deadline=None)
+
+
+def polygons(box, scale=1):
+    """Points, segments, triangles and quadrilaterals with vertices in [0, box]^2,
+    dilated by a factor up to `scale`."""
+    corner = st.tuples(st.integers(0, box), st.integers(0, box))
+    return st.builds(
+        lambda corners, k: geom.hull2([(k * x, k * y) for x, y in corners]),
+        st.lists(corner, min_size=1, max_size=4),
+        st.integers(1, scale),
+    )
+
+
+def edge_sum(P):
+    return sum(c for _d, c in geom._edge_multiset(P))
+
+
+@SEARCH
+@given(
+    polygons(6, scale=6).filter(lambda P: P.dim > 0 and edge_sum(P) <= 24),
+    st.tuples(st.integers(-20, 20), st.integers(-20, 20)),
+)
+def test_summand_pairs_match_the_product_search(P, v):
+    edges = geom._edge_multiset(P)
+    lens = tuple(c for _d, c in edges)
+    # a pick and its complement give the same pair: the walk keeps the smaller
+    want_picks = [
+        p for p in hull_oracles.zero_sum_picks(edges)
+        if p <= tuple(c - t for c, t in zip(lens, p))
+    ]
+    assert list(geom._zero_sum_picks(edges)) == want_picks
+    want = hull_oracles.summand_decompositions(P)
+    assert geom.summand_decompositions(P) == want
+    # summands are normalized to the origin, so a translated copy has the same pairs
+    assert geom.summand_decompositions(P.translate(v)) == want
+
+
+@pytest.mark.parametrize(
+    "corners",
+    [
+        [(0, 0), (12, 0)],  # a segment at the edge-sum bound
+        [(0, 0), (8, 0), (0, 8)],  # a triangle at the bound
+        [(0, 0), (6, 0), (6, 6), (0, 6)],  # a square at the bound
+        [(0, 0), (2, 0), (3, 1), (3, 3), (1, 3), (0, 2)],  # a hexagon
+        [(1, 0), (2, 0), (3, 1), (3, 2), (2, 3), (1, 3), (0, 2), (0, 1)],  # an octagon
+    ],
+)
+def test_summand_pairs_of_fixed_polygons(corners):
+    P = geom.hull2(corners)
+    assert geom.summand_decompositions(P) == hull_oracles.summand_decompositions(P)
+
+
+def test_both_refusals_keep_their_bounds_and_messages():
+    with pytest.raises(PolygonTooLarge, match="^edge multiplicity sum 90 exceeds bound 24$"):
+        geom.summand_decompositions(geom.hull2([(0, 0), (30, 0), (0, 30)]))
+    square = geom.hull2([(0, 0), (30, 0), (30, 30), (0, 30)])
+    with pytest.raises(PolygonTooLarge, match="^923521 candidate edge subsets is too many$"):
+        geom.summand_decompositions(square, max_edge_sum=120)
+
+
+coefficients = st.one_of(
+    st.integers(-50, 50),
+    st.builds(Fraction, st.integers(-(10**12), 10**12), st.integers(1, 10**9)),
+)
+
+
+def polys(arity, min_size=1):
+    exponent = st.tuples(*[st.integers(-4, 4)] * arity)
+    return st.dictionaries(exponent, coefficients, min_size=min_size, max_size=8).map(
+        lambda terms: TropPoly(arity, terms)
+    )
+
+
+@SEARCH
+@given(polys(2), polygons(3))
+def test_vertex_seed_matches_the_lattice_seed(f, Q):
+    fc = canonicalize(f)
+    seed = TropPoly(2, {p: 0 for p in geom.lattice_points(Q)})
+    assert _seeded_residual(fc, Q) == _residual(fc, seed)
+
+
+@SEARCH
+@given(st.sampled_from([1, 2]).flatmap(lambda arity: polys(arity, min_size=0)))
+def test_unit_key_matches_the_normalized_terms(p):
+    want = tuple((e, (c.numerator, c.denominator)) for e, c in unit_normalize(p).items())
+    assert _unit_key(p) == want
+
