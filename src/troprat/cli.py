@@ -28,6 +28,8 @@ from .parse import DEFAULT_VARS, format_poly, parse_poly
 from .subdiv import dual_subdivision, mcomp
 
 SCHEMA_VERSION = "1"
+# check-duality draws and checks --count samples, a few per millisecond
+MAX_DUALITY_COUNT = 100_000
 
 
 def _q(x: Fraction) -> dict:
@@ -260,6 +262,8 @@ def _cmd_divisor(args) -> str:
 def _cmd_check_duality(args) -> str:
     if args.count < 1:
         raise TropError(f"--count must be at least 1, got {args.count}")
+    if args.count > MAX_DUALITY_COUNT:
+        raise TropError(f"--count must be at most {MAX_DUALITY_COUNT}, got {args.count}")
     f, g, vars = _parse_pair(args)
     samples = duality_samples(f, g, args.count, args.seed)
     report = graph_duality_check(f, g, samples)

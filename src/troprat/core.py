@@ -37,6 +37,13 @@ def as_q(x) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(x).__name__!s}")
 
 
+def clear_denominators(p) -> tuple:
+    """(z, d): the rationals p (Fractions or ints) as the ints z over their
+    least common denominator d."""
+    d = lcm(*(x.denominator for x in p))
+    return [x.numerator * (d // x.denominator) for x in p], d
+
+
 @dataclass(frozen=True)
 class TropNum:
     """A tropical scalar: an exact rational or bottom (-inf, value None)."""
@@ -225,18 +232,24 @@ class TropPoly:
 
     def peak(self, point) -> tuple:
         """(top, hits, scale): the max over the terms at `point` is top / scale
-        and `hits` terms attain it; top is None for -inf.  The coefficients
-        are stored over m, and the point is cleared once by the lcm d of its
-        denominators: each m*d*(c + e.p) is an int.
+        and `hits` terms attain it; top is None for -inf.  The point is
+        cleared once by the lcm d of its denominators, and scale is m*d.
         """
         p = [as_q(x) for x in point]
         if len(p) != self.arity:
             raise DimensionMismatch(
                 f"point of dimension {len(p)} for arity {self.arity}"
             )
+        z, d = clear_denominators(p)
+        top, hits = self._peak_cleared(z, d)
+        return top, hits, self._m * d
+
+    def _peak_cleared(self, z, d) -> tuple:
+        """(top, hits) at the point z / d, z ints and d > 0 an int: the max
+        over the terms is top / (m*d), each m*d*(c + e.p) = c*d + m*(e.z) an
+        int, and `hits` terms attain it; top is None for -inf."""
         m = self._m
-        d = lcm(*(x.denominator for x in p))
-        q = [m * x.numerator * (d // x.denominator) for x in p]
+        q = [m * x for x in z]
         top = None
         hits = 0
         for e, c in self._ints.items():
@@ -245,7 +258,7 @@ class TropPoly:
                 top, hits = v, 1
             elif v == top:
                 hits += 1
-        return top, hits, m * d
+        return top, hits
 
     def __call__(self, point) -> TropNum:
         top, _hits, scale = self.peak(point)

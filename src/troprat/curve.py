@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import geom
-from .core import TropNum, TropPoly, as_q, envelope, stack_pair
+from .core import TropPoly, as_q, clear_denominators, envelope, stack_pair
 from .errors import DegenerateInput, DimensionMismatch, TropError
 from .subdiv import Subdivision, cell_endpoints, dual_subdivision
 
@@ -339,24 +339,40 @@ class DualityReport:
 def graph_duality_check(f: TropPoly, g: TropPoly, samples) -> DualityReport:
     """Check on each sample (x, t) that membership in the hypersurface of
     f + (x_{n+1} * g) is equivalent to: t equals phi(x) != -inf, or x lies on
-    V(f) with t below phi(x), or x lies on V(g) with t above phi(x)."""
+    V(f) with t below phi(x), or x lies on V(g) with t above phi(x).
+
+    Each sample is cleared once to ints z over its common denominator d, and
+    every comparison is between ints.  Membership is read from the stacked
+    polynomial's own terms, so the check does not assume the theorem."""
     if g.is_bottom:
         raise DegenerateInput("denominator must not be -inf")
     if f.arity != g.arity:
         raise DimensionMismatch("arity mismatch")
     stacked = stack_pair(f, g)
+    n = stacked.arity
+    mf, mg = f._m, g._m
+    mfg = mf * mg
     graph = below = above = member_hits = 0
     violations = []
     total = 0
     for pt in samples:
         pt = tuple(as_q(x) for x in pt)
+        if len(pt) != n:
+            raise DimensionMismatch(f"point of dimension {len(pt)} for arity {n}")
         total += 1
-        x, t = pt[:-1], TropNum(pt[-1])
-        member = hypersurface_member(stacked, pt)
-        phi = f(x) / g(x)
-        on_graph = (not phi.is_bottom) and t == phi
-        on_f = t < phi and hypersurface_member(f, x)
-        on_g = t > phi and hypersurface_member(g, x)
+        z, d = clear_denominators(pt)
+        member = stacked._peak_cleared(z, d)[1] >= 2
+        x = z[:-1]
+        top_f, hits_f = f._peak_cleared(x, d)
+        top_g, hits_g = g._peak_cleared(x, d)
+        if top_f is None:  # phi = -inf, and every t is above it
+            on_graph = on_f = False
+            on_g = hits_g >= 2
+        else:  # the sign of t - phi(x), scaled by m_f * m_g * d > 0
+            s = z[-1] * mfg - (top_f * mg - top_g * mf)
+            on_graph = s == 0
+            on_f = s < 0 and hits_f >= 2
+            on_g = s > 0 and hits_g >= 2
         graph += on_graph
         below += on_f
         above += on_g
@@ -366,6 +382,17 @@ def graph_duality_check(f: TropPoly, g: TropPoly, samples) -> DualityReport:
     return DualityReport(
         total, graph, below, above, member_hits, tuple(violations)
     )
+
+
+def _phi(f: TropPoly, g: TropPoly, point) -> Fraction | None:
+    """phi(x) = f(x) - g(x) at a point of Fractions or ints, None for -inf;
+    g is not -inf."""
+    z, d = clear_denominators(point)
+    top_f = f._peak_cleared(z, d)[0]
+    if top_f is None:
+        return None
+    mf, mg = f._m, g._m
+    return Fraction(top_f * mg - g._peak_cleared(z, d)[0] * mf, mf * mg * d)
 
 
 def _rand_q(rng: random.Random, span: int = 8, max_den: int = 64) -> Fraction:
@@ -410,6 +437,10 @@ def _locus_point(pieces, rng: random.Random):
 def duality_samples(f: TropPoly, g: TropPoly, count: int, seed: int):
     """Deterministic sample mix: graph points, points below V(f) and above
     V(g), near-graph probes, and fully random points."""
+    if g.is_bottom:
+        raise DegenerateInput("denominator must not be -inf")
+    if f.arity != g.arity:
+        raise DimensionMismatch("arity mismatch")
     rng = random.Random(seed)
     n = f.arity
     num_pieces = _locus_pieces(f)
@@ -418,27 +449,27 @@ def duality_samples(f: TropPoly, g: TropPoly, count: int, seed: int):
     while len(out) < count:
         mode = len(out) % 5
         x = tuple(_rand_q(rng) for _ in range(n))
-        phi = f(x) / g(x) if mode in (0, 4) else None  # only these modes read it
-        if mode == 0 and not phi.is_bottom:
-            out.append(x + (phi.value,))
+        phi = _phi(f, g, x) if mode in (0, 4) else None  # only these modes read it
+        if mode == 0 and phi is not None:
+            out.append(x + (phi,))
             continue
         if mode == 2:
             p = _locus_point(num_pieces, rng)
             if p is not None:
-                v = f(p) / g(p)
-                if not v.is_bottom:
-                    out.append(p + (v.value - 1 - abs(_rand_q(rng, span=2)),))
+                v = _phi(f, g, p)
+                if v is not None:
+                    out.append(p + (v - 1 - abs(_rand_q(rng, span=2)),))
                     continue
         if mode == 3:
             p = _locus_point(den_pieces, rng)
             if p is not None:
-                v = f(p) / g(p)
-                base = v.value if not v.is_bottom else Fraction(0)
+                v = _phi(f, g, p)
+                base = v if v is not None else Fraction(0)
                 out.append(p + (base + 1 + abs(_rand_q(rng, span=2)),))
                 continue
-        if mode == 4 and not phi.is_bottom:
+        if mode == 4 and phi is not None:
             eps = Fraction(1, rng.randint(2, 64))
-            out.append(x + (phi.value + (eps if rng.random() < 0.5 else -eps),))
+            out.append(x + (phi + (eps if rng.random() < 0.5 else -eps),))
             continue
         out.append(x + (_rand_q(rng),))
     return out

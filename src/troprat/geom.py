@@ -404,7 +404,6 @@ def summand_decompositions(P: Polygon, max_edge_sum: int = 24):
         combos *= c + 1
     if combos > 300_000:
         raise PolygonTooLarge(f"{combos} candidate edge subsets is too many")
-    target = normalize_origin(P)
     found = set()
     for picks in _zero_sum_picks(edges):
         if not any(picks):
@@ -414,8 +413,6 @@ def summand_decompositions(P: Polygon, max_edge_sum: int = 24):
             [(d, c - t) for (d, c), t in zip(edges, picks)]
         )
         q, r = normalize_origin(q), normalize_origin(r)
-        if minkowski_sum2(q, r) != target:
-            continue
         found.add(tuple(sorted((q, r), key=lambda poly: poly.vertices)))
     return tuple(sorted(found, key=lambda pr: (pr[0].vertices, pr[1].vertices)))
 

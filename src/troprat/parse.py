@@ -16,9 +16,10 @@ rational functions are always supplied as two separate polynomial strings.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import NamedTuple, Union
 
 from .core import TropPoly
 from .errors import LexError, ParseError, TropError
@@ -39,63 +40,34 @@ DEFAULT_VARS = {1: ("x",), 2: ("x", "y"), 3: ("x", "y", "z")}
 _SINGLE = {"+": PLUS, "*": STAR, "^": CARET, "/": SLASH, "(": LPAREN, ")": RPAREN}
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     lexeme: str
     position: int
 
 
+# optional whitespace, then one token or the end of the input; numbers and
+# variables are ASCII only, and group 5 takes any other character
+_TOKEN = re.compile(
+    r"\s*(?:(-inf)|(-?[0-9]+(?:\.[0-9]+)?)|([A-Za-z]+)|([+*^/()])|(.)|\Z)", re.DOTALL
+)
+_GROUP_KIND = (None, MINUS_INF, NUMBER, VARIABLE)
+
+
 def tokenize(src: str) -> list[Token]:
     """Full token cover of the input minus whitespace."""
     out = []
-    i, n = 0, len(src)
-    while i < n:
-        ch = src[i]
-        if ch.isspace():
-            i += 1
+    for match in _TOKEN.finditer(src):
+        group = match.lastindex
+        if group is None:  # trailing whitespace
             continue
-        if ch in _SINGLE:
-            out.append(Token(_SINGLE[ch], ch, i))
-            i += 1
-            continue
-        if ch == "-":
-            if src.startswith("-inf", i):
-                out.append(Token(MINUS_INF, "-inf", i))
-                i += 4
-                continue
-            if i + 1 < n and src[i + 1].isdigit():
-                j = i + 1
-                while j < n and src[j].isdigit():
-                    j += 1
-                if j < n and src[j] == "." and j + 1 < n and src[j + 1].isdigit():
-                    j += 1
-                    while j < n and src[j].isdigit():
-                        j += 1
-                out.append(Token(NUMBER, src[i:j], i))
-                i = j
-                continue
-            raise LexError("stray '-' (use '-inf' or a signed number)", i)
-        if ch.isdigit():
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            if j < n and src[j] == "." and j + 1 < n and src[j + 1].isdigit():
-                j += 1
-                while j < n and src[j].isdigit():
-                    j += 1
-            out.append(Token(NUMBER, src[i:j], i))
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < n and src[j].isalpha():
-                j += 1
-            out.append(Token(VARIABLE, src[i:j], i))
-            i = j
-            continue
-        raise LexError(f"unexpected character {ch!r}", i)
-    out.append(Token(EOF, "", n))
+        lexeme, i = match[group], match.start(group)
+        if group == 5:
+            if lexeme == "-":
+                raise LexError("stray '-' (use '-inf' or a signed number)", i)
+            raise LexError(f"unexpected character {lexeme!r}", i)
+        out.append(Token(_SINGLE[lexeme] if group == 4 else _GROUP_KIND[group], lexeme, i))
+    out.append(Token(EOF, "", len(src)))
     return out
 
 

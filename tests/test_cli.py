@@ -9,6 +9,7 @@ from troprat import (
     render_svg,
     stack_pair,
 )
+from troprat import cli
 from troprat.cli import main
 from conftest import UNIQUE_MIN_DEN, UNIQUE_MIN_NUM, p1, p2
 
@@ -168,6 +169,17 @@ class TestDeterminismAndErrors:
             capsys, "check-duality", "--num", "x + 0", "--den", "x + 1", "--count", "-5"
         )
         assert code == 2 and not out and err.startswith("error: ")
+
+    def test_count_above_the_limit_exits_before_sampling(self, capsys, monkeypatch):
+        def no_sampling(*args):
+            raise AssertionError("samples drawn for a refused --count")
+
+        monkeypatch.setattr(cli, "duality_samples", no_sampling)
+        code, out, err = run(
+            capsys, "check-duality", "--num", "x + 0", "--den", "x + 1", "--count", "1000000"
+        )
+        assert code == 2 and not out
+        assert err == f"error: --count must be at most {cli.MAX_DUALITY_COUNT}, got 1000000\n"
 
 
 def _svg_root(text: str):

@@ -36,6 +36,24 @@ class TestTokenize:
             tokenize("x $ y")
         assert err.value.position == 2
 
+    @pytest.mark.parametrize(
+        "text, position",
+        [
+            ("\u0663x + 0", 0),  # Arabic-Indic digit three
+            ("\u00b2x + 0", 0),  # superscript two
+            ("x + \u0663", 4),
+            ("-\u0663x + 0", 0),  # a '-' before a non-ASCII digit is stray
+            ("x\u00e9 + 0", 1),  # e with acute accent
+            ("\uff58 + 0", 0),  # fullwidth x
+        ],
+        ids=["arabic-digit", "superscript", "late-digit", "signed", "accent", "fullwidth"],
+    )
+    def test_non_ascii_digits_and_letters_are_lex_errors(self, text, position):
+        for parse in (tokenize, parse_poly):
+            with pytest.raises(LexError) as err:
+                parse(text)
+            assert err.value.position == position
+
     def test_positions_strictly_increase(self):
         toks = tokenize("3*x^2 + (1/2)y + -inf")
         positions = [t.position for t in toks[:-1]]

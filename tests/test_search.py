@@ -45,7 +45,11 @@ def test_summand_pairs_match_the_product_search(P, v):
     ]
     assert list(geom._zero_sum_picks(edges)) == want_picks
     want = hull_oracles.summand_decompositions(P)
-    assert geom.summand_decompositions(P) == want
+    got = geom.summand_decompositions(P)
+    assert got == want
+    # the summands' edges merge into P's, and both sit at their lex-min vertex
+    target = geom.normalize_origin(P)
+    assert all(geom.minkowski_sum2(q, r) == target for q, r in got)
     # summands are normalized to the origin, so a translated copy has the same pairs
     assert geom.summand_decompositions(P.translate(v)) == want
 
