@@ -47,7 +47,6 @@ from .geom import (
     lattice_length,
     lattice_points,
     minkowski_sum2,
-    pick_area,
     summand_decompositions,
     volume_oracle,
     volume_stacked,

@@ -9,7 +9,7 @@ from fractions import Fraction
 from . import geom
 from .core import TropPoly, as_q, clear_denominators, envelope, stack_pair
 from .errors import DegenerateInput, DimensionMismatch, TropError
-from .subdiv import Subdivision, cell_endpoints, dual_subdivision
+from .subdiv import Subdivision, dual_subdivision
 
 
 def hypersurface_member(f: TropPoly, point) -> bool:
@@ -56,9 +56,17 @@ class PlaneCurve:
     subdivision: Subdivision
 
 
+def _dual(u, v) -> frozenset:
+    """The lattice points of the segment [u, v]: a 1-cell of the subdivision."""
+    return frozenset(geom.lattice_points(geom.Polygon((min(u, v), max(u, v)))))
+
+
 def plane_curve(f: TropPoly) -> PlaneCurve:
-    """Curve dual to the subdivision: vertices from 2-cells, edges and rays
-    from 1-cells, weights from dual lattice lengths."""
+    """Curve dual to the subdivision, read off the envelope's facet corners:
+    a vertex per facet, a piece per corner edge, weights from lattice lengths.
+
+    Adjacent facets of the upper hull share the corners of their common edge,
+    so an edge (u, v) of one facet is an edge (v, u) of the other, or none."""
     if f.arity != 2:
         raise DimensionMismatch("plane_curve needs arity 2")
     if f.is_bottom:
@@ -69,46 +77,34 @@ def plane_curve(f: TropPoly) -> PlaneCurve:
     sub = dual_subdivision(f)
 
     if env.chain is not None:
-        coeff = env.vertices  # the cell endpoints are envelope vertices
+        coeff = env.vertices  # consecutive corners bound each linear piece
         lines = []
-        for cell in sub.cells:
-            p, q = cell_endpoints(cell)
+        for p, q in zip(env._corners, env._corners[1:]):
             n = (p[0] - q[0], p[1] - q[1])  # tie: n . x = c_q - c_p
             delta = coeff[q] - coeff[p]
             nn = n[0] * n[0] + n[1] * n[1]
             base = (Fraction(delta * n[0], nn), Fraction(delta * n[1], nn))
             d = geom.primitive((-n[1], n[0]))
-            lines.append(CurveLine(base, d, geom.lattice_length(p, q), cell))
+            lines.append(CurveLine(base, d, geom.lattice_length(p, q), _dual(p, q)))
         lines.sort(key=lambda L: (L.direction, L.base))
         return PlaneCurve((), (), (), tuple(lines), sub)
 
-    # every monomial of a cell attains the maximum where x = (n0/n2, n1/n2)
-    vertex_of = {
-        cell: (Fraction(n[0], n[2]), Fraction(n[1], n[2]))
-        for cell, (n, _d) in env.cells()
-    }
+    # every monomial of a facet attains the maximum where x = (n0/n2, n1/n2)
+    vertex = [(Fraction(n[0], n[2]), Fraction(n[1], n[2])) for _cell, (n, _d) in env.cells()]
+    owner = {(u, v): i for i, cs in enumerate(env._facets) for u, v in zip(cs, cs[1:] + cs[:1])}
     edges = []
     rays = []
-    for one_cell, parents in sub.one_cells().items():
-        u, v = cell_endpoints(one_cell)
-        w = geom.lattice_length(u, v)
-        if len(parents) == 2:
-            p1 = vertex_of[sub.cells[parents[0]]]
-            p2 = vertex_of[sub.cells[parents[1]]]
-            a, b = sorted((p1, p2))
-            edges.append(CurveEdge(a, b, w, one_cell))
-        else:
-            cell = sub.cells[parents[0]]
-            base = vertex_of[cell]
-            n = geom.primitive((-(v[1] - u[1]), v[0] - u[0]))
-            probe = next(p for p in cell if geom._cross(u, v, p) != 0)
-            if n[0] * (probe[0] - u[0]) + n[1] * (probe[1] - u[1]) > 0:
-                n = (-n[0], -n[1])
-            rays.append(CurveRay(base, n, w, one_cell))
-    vertices = tuple(sorted(set(vertex_of.values())))
+    for (u, v), i in owner.items():
+        j = owner.get((v, u))
+        if j is None:  # on the boundary of Newt(f): a ray along the outward normal
+            n = geom.primitive((v[1] - u[1], u[0] - v[0]))
+            rays.append(CurveRay(vertex[i], n, geom.lattice_length(u, v), _dual(u, v)))
+        elif i < j:
+            a, b = sorted((vertex[i], vertex[j]))
+            edges.append(CurveEdge(a, b, geom.lattice_length(u, v), _dual(u, v)))
     edges.sort(key=lambda e: (e.a, e.b))
     rays.sort(key=lambda r: (r.direction, r.base))
-    return PlaneCurve(vertices, tuple(edges), tuple(rays), (), sub)
+    return PlaneCurve(tuple(sorted(vertex)), tuple(edges), tuple(rays), (), sub)
 
 
 def balancing_check(C: PlaneCurve) -> bool:
@@ -223,10 +219,6 @@ class Divisor:
             if canon:
                 out.append((key, tuple(canon)))
         return cls(tuple(out))
-
-    @classmethod
-    def empty(cls) -> "Divisor":
-        return cls(())
 
     @property
     def is_empty(self) -> bool:

@@ -154,25 +154,6 @@ def lattice_points(P: Polygon):
     return [(x, y) for x, lo, hi in columns for y in range(lo, hi + 1)]
 
 
-def boundary_lattice_count(P: Polygon) -> int:
-    _require_lattice(P)
-    if P.dim == 0:
-        return 1
-    if P.dim == 1:
-        return lattice_length(*P.vertices) + 1
-    return sum(lattice_length(a, b) for a, b in P.edges())
-
-
-def pick_area(P: Polygon) -> Fraction:
-    """Interior count + boundary/2 - 1; defined as 0 for degenerate polygons."""
-    _require_lattice(P)
-    if P.dim < 2:
-        return Fraction(0)
-    boundary = boundary_lattice_count(P)
-    interior = len(lattice_points(P)) - boundary
-    return Fraction(interior) + Fraction(boundary, 2) - 1
-
-
 def minkowski_sum2(P: Polygon, Q: Polygon) -> Polygon:
     """Exact Minkowski sum of convex polygons (hull of vertex sums)."""
     return hull2([_add(p, q) for p in P.vertices for q in Q.vertices])
@@ -456,17 +437,6 @@ def _collinear_between(a, b, p) -> bool:
         return False
     lo, hi = min(a, b), max(a, b)
     return lo <= p <= hi
-
-
-def _one_cells_of(points, corners):
-    """Split a cell boundary into maximal collinear runs of its points."""
-    out = []
-    k = len(corners)
-    for i in range(k):
-        u, v = corners[i], corners[(i + 1) % k]
-        members = frozenset(p for p in points if _collinear_between(u, v, p))
-        out.append(((u, v), members))
-    return out
 
 
 def upper_faces_2d(lifted):

@@ -4,7 +4,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import geom
 from .core import TropPoly, envelope
 from .errors import DegenerateInput, TropError
 
@@ -26,49 +25,9 @@ class Subdivision:
     def lifted(self) -> tuple:
         return self.canonical.items()
 
-    def points(self):
-        return self.canonical.support
-
     def zero_cells(self) -> frozenset:
-        """Vertices of the subdivision (corners of its cells)."""
-        out = set()
-        for cell in self.cells:
-            out.update(_corners(cell))
-        return frozenset(out)
-
-    def one_cells(self):
-        """1-cells with the list of top cells containing each."""
-        found: dict = {}
-        for idx, cell in enumerate(self.cells):
-            if _cell_dim(cell) == 1:
-                found.setdefault(cell, []).append(idx)
-                continue
-            pts = sorted(cell)
-            corners = geom.hull2(pts).vertices
-            for _ends, members in geom._one_cells_of(pts, corners):
-                found.setdefault(members, []).append(idx)
-        return found
-
-
-def _cell_dim(cell) -> int:
-    pts = sorted(cell)
-    if len(pts) == 1:
-        return 0
-    if len(pts) == 2 or len(pts[0]) == 1:
-        return 1
-    if all(geom._cross(pts[0], pts[1], p) == 0 for p in pts[2:]):
-        return 1
-    return 2
-
-
-def _corners(cell):
-    pts = sorted(cell)
-    d = _cell_dim(cell)
-    if d == 0:
-        return [pts[0]]
-    if d == 1:
-        return [pts[0], pts[-1]]
-    return list(geom.hull2(pts).vertices)
+        """Vertices of the subdivision: the corners of the envelope."""
+        return frozenset(envelope(self.canonical)._corners)
 
 
 def cell_endpoints(cell):

@@ -1,26 +1,35 @@
-"""Reference implementations of the upper hull, the lattice-point scan and
-the Minkowski summand search.
+"""Reference implementations of the upper hull, the lattice-point scan, the
+Minkowski summand search, Pick's formula and the plane-curve cell structure.
 
-These are the straightforward versions that `troprat.geom` replaced: gift
+These are the straightforward versions that `troprat` replaced: gift
 wrapping that scans every point from every queued edge and drops a facet it
 has seen before by its primitive plane, a bounding-box scan that tests each
-candidate point against every edge, and a summand search that tries every
-pick of the product of the edge lengths.  The tests require the library to
-return exactly what these return.  They live apart from `oracles.py`, which
-the benchmark's correctness checks import.
+candidate point against every edge, a summand search that tries every pick
+of the product of the edge lengths, and a plane curve whose 1-cells come
+from re-hulling every 2-cell of the subdivision.  The tests require the
+library to return exactly what these return, and Pick's formula, counted on
+the bounding-box scan, to agree with `geom.area2`.  They live apart from
+`oracles.py`, which the benchmark's correctness checks import.
 """
 from collections import deque
+from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
 
+from troprat.core import envelope
+from troprat.curve import CurveEdge, CurveLine, CurveRay, PlaneCurve
+from troprat.errors import DegenerateInput, DimensionMismatch
 from troprat.geom import (
     _edge_multiset,
     _polygon_from_edges,
     hull2,
+    lattice_length,
     minkowski_sum2,
     normalize_origin,
+    primitive,
     upper_envelope_1d,
 )
+from troprat.subdiv import cell_endpoints, dual_subdivision
 
 
 def _cross(o, a, b):
@@ -162,3 +171,128 @@ def summand_decompositions(P):
         if pair not in found and minkowski_sum2(q, r) == target:
             found.add(pair)
     return tuple(sorted(found, key=lambda pr: (pr[0].vertices, pr[1].vertices)))
+
+
+def boundary_lattice_count(P) -> int:
+    if P.dim == 0:
+        return 1
+    if P.dim == 1:
+        return lattice_length(*P.vertices) + 1
+    return sum(lattice_length(a, b) for a, b in P.edges())
+
+
+def pick_area(P) -> Fraction:
+    """Interior count + boundary/2 - 1; defined as 0 for degenerate polygons."""
+    if P.dim < 2:
+        return Fraction(0)
+    boundary = boundary_lattice_count(P)
+    interior = len(lattice_points(P)) - boundary
+    return Fraction(interior) + Fraction(boundary, 2) - 1
+
+
+# ---------------------------------------------------------------------------
+# the plane curve from the subdivision's cells, each 2-cell hulled again
+
+
+def _cell_dim(cell) -> int:
+    pts = sorted(cell)
+    if len(pts) == 1:
+        return 0
+    if len(pts) == 2 or len(pts[0]) == 1:
+        return 1
+    if all(_cross(pts[0], pts[1], p) == 0 for p in pts[2:]):
+        return 1
+    return 2
+
+
+def _corners(cell):
+    pts = sorted(cell)
+    d = _cell_dim(cell)
+    if d == 0:
+        return [pts[0]]
+    if d == 1:
+        return [pts[0], pts[-1]]
+    return list(hull2(pts).vertices)
+
+
+def zero_cells(sub) -> frozenset:
+    """Vertices of a subdivision: the union of its cells' corners."""
+    return frozenset(p for cell in sub.cells for p in _corners(cell))
+
+
+def _one_cells_of(points, corners):
+    """Split a cell boundary into maximal collinear runs of its points."""
+    out = []
+    k = len(corners)
+    for i in range(k):
+        u, v = corners[i], corners[(i + 1) % k]
+        members = frozenset(p for p in points if _collinear_between(u, v, p))
+        out.append(((u, v), members))
+    return out
+
+
+def one_cells(sub):
+    """1-cells of a subdivision with the list of top cells containing each."""
+    found: dict = {}
+    for idx, cell in enumerate(sub.cells):
+        if _cell_dim(cell) == 1:
+            found.setdefault(cell, []).append(idx)
+            continue
+        pts = sorted(cell)
+        corners = hull2(pts).vertices
+        for _ends, members in _one_cells_of(pts, corners):
+            found.setdefault(members, []).append(idx)
+    return found
+
+
+def plane_curve(f) -> PlaneCurve:
+    """The curve of f, as `curve.plane_curve` returns it, from `one_cells`."""
+    if f.arity != 2:
+        raise DimensionMismatch("plane_curve needs arity 2")
+    if f.is_bottom:
+        raise DegenerateInput("V(-inf) is the whole plane, not a curve")
+    if f.is_unit:
+        raise DegenerateInput("a monomial defines an empty hypersurface")
+    env = envelope(f)
+    sub = dual_subdivision(f)
+
+    if env.chain is not None:
+        coeff = env.vertices
+        lines = []
+        for cell in sub.cells:
+            p, q = cell_endpoints(cell)
+            n = (p[0] - q[0], p[1] - q[1])
+            delta = coeff[q] - coeff[p]
+            nn = n[0] * n[0] + n[1] * n[1]
+            base = (Fraction(delta * n[0], nn), Fraction(delta * n[1], nn))
+            d = primitive((-n[1], n[0]))
+            lines.append(CurveLine(base, d, lattice_length(p, q), cell))
+        lines.sort(key=lambda L: (L.direction, L.base))
+        return PlaneCurve((), (), (), tuple(lines), sub)
+
+    vertex_of = {
+        cell: (Fraction(n[0], n[2]), Fraction(n[1], n[2]))
+        for cell, (n, _d) in env.cells()
+    }
+    edges = []
+    rays = []
+    for one_cell, parents in one_cells(sub).items():
+        u, v = cell_endpoints(one_cell)
+        w = lattice_length(u, v)
+        if len(parents) == 2:
+            p1 = vertex_of[sub.cells[parents[0]]]
+            p2 = vertex_of[sub.cells[parents[1]]]
+            a, b = sorted((p1, p2))
+            edges.append(CurveEdge(a, b, w, one_cell))
+        else:
+            cell = sub.cells[parents[0]]
+            base = vertex_of[cell]
+            n = primitive((-(v[1] - u[1]), v[0] - u[0]))
+            probe = next(p for p in cell if _cross(u, v, p) != 0)
+            if n[0] * (probe[0] - u[0]) + n[1] * (probe[1] - u[1]) > 0:
+                n = (-n[0], -n[1])
+            rays.append(CurveRay(base, n, w, one_cell))
+    vertices = tuple(sorted(set(vertex_of.values())))
+    edges.sort(key=lambda e: (e.a, e.b))
+    rays.sort(key=lambda r: (r.direction, r.base))
+    return PlaneCurve(vertices, tuple(edges), tuple(rays), (), sub)

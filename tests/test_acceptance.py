@@ -29,7 +29,6 @@ from troprat import (
     newton_irreducible,
     curve_irreducible,
     parse_poly,
-    pick_area,
     plane_curve,
     rat_eq,
     stack_pair,
@@ -42,6 +41,7 @@ from troprat import (
 )
 from troprat.rep import unit_normalize
 from troprat.subdiv import cell_endpoints
+from hull_oracles import pick_area
 from conftest import (
     ALT_MIN_DEN_1,
     ALT_MIN_DEN_2,

@@ -13,12 +13,12 @@ from troprat import (
     lattice_length,
     lattice_points,
     minkowski_sum2,
-    pick_area,
     summand_decompositions,
     volume_oracle,
     volume_stacked,
 )
 from troprat.geom import normalize_origin
+from hull_oracles import pick_area
 from conftest import FOUR_LINES, p2, rand_lattice_polygon
 
 TRI = hull2([(0, 0), (1, 0), (0, 1)])
