@@ -230,11 +230,9 @@ def _cmd_divide(args) -> str:
 
 
 def _cmd_factor(args) -> str:
-    if args.depth < 0:
-        raise TropError(f"--depth must be at least 0, got {args.depth}")
     vars = _vars_of(args, args.poly)
     f = parse_poly(args.poly, vars)
-    factorizations = rep.enumerate_factorizations(f, depth=args.depth)
+    factorizations = rep.enumerate_factorizations(f)
     return _report(
         "factor",
         {"poly": format_poly(f, vars), "vars": list(vars)},
@@ -348,9 +346,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--num", required=True)
     p.add_argument("--den", required=True)
 
-    p = add("factor", _cmd_factor, help="bounded factorization search")
+    p = add(
+        "factor",
+        _cmd_factor,
+        help="factorization search (segments in closed form, polygons up to edge sum 24)",
+    )
     p.add_argument("--poly", required=True)
-    p.add_argument("--depth", type=int, default=8)
 
     p = add("divisor", _cmd_divisor, help="curve divisor difference")
     p.add_argument("--num", required=True)
@@ -373,8 +374,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 _VALUE_FLAGS = {
-    "--poly", "--at", "--num", "--den", "--vars", "--kind", "--count",
-    "--seed", "--depth",
+    "--poly", "--at", "--num", "--den", "--vars", "--kind", "--count", "--seed",
 }
 
 

@@ -58,7 +58,9 @@ class PlaneCurve:
 
 def _dual(u, v) -> frozenset:
     """The lattice points of the segment [u, v]: a 1-cell of the subdivision."""
-    return frozenset(geom.lattice_points(geom.Polygon((min(u, v), max(u, v)))))
+    g = geom.lattice_length(u, v)
+    dx, dy = (v[0] - u[0]) // g, (v[1] - u[1]) // g
+    return frozenset((u[0] + t * dx, u[1] + t * dy) for t in range(g + 1))
 
 
 def plane_curve(f: TropPoly) -> PlaneCurve:
@@ -81,9 +83,7 @@ def plane_curve(f: TropPoly) -> PlaneCurve:
         lines = []
         for p, q in zip(env._corners, env._corners[1:]):
             n = (p[0] - q[0], p[1] - q[1])  # tie: n . x = c_q - c_p
-            delta = coeff[q] - coeff[p]
-            nn = n[0] * n[0] + n[1] * n[1]
-            base = (Fraction(delta * n[0], nn), Fraction(delta * n[1], nn))
+            base = _line_anchor((n, coeff[q] - coeff[p]))
             d = geom.primitive((-n[1], n[0]))
             lines.append(CurveLine(base, d, geom.lattice_length(p, q), _dual(p, q)))
         lines.sort(key=lambda L: (L.direction, L.base))
@@ -173,32 +173,28 @@ def _point_at(key, t):
 
 
 def _canonical_pieces(raw):
-    """Refine raw (lo, hi, w) intervals on one line into maximal constant-
-    weight pieces: split at all endpoints, add, merge, drop zeros."""
-    ends = sorted({t for lo, hi, _ in raw for t in (lo, hi) if t is not None})
-    if not ends:
-        total = sum(w for lo, hi, w in raw)
-        return [(None, None, total)] if total else []
-    bounds = [None] + ends + [None]
-    intervals = list(zip(bounds, bounds[1:]))
-    weighted = []
-    for lo, hi in intervals:
-        if lo is not None and hi is not None and lo == hi:
-            continue
-        w = 0
-        for plo, phi, pw in raw:
-            if (plo is None or (lo is not None and plo <= lo)) and (
-                phi is None or (hi is not None and hi <= phi)
-            ):
-                w += pw
-        weighted.append([lo, hi, w])
-    merged = []
-    for lo, hi, w in weighted:
-        if merged and merged[-1][2] == w and merged[-1][1] == lo:
-            merged[-1][1] = hi
+    """The maximal nonzero constant-weight pieces of the sum of raw (lo, hi, w)
+    intervals on one line, a None end being infinite: one sweep over the
+    weight jumps at the sorted ends."""
+    w = 0  # the weight at -inf
+    jumps: dict = {}
+    for lo, hi, pw in raw:
+        if lo is None:
+            w += pw
         else:
-            merged.append([lo, hi, w])
-    return [(lo, hi, w) for lo, hi, w in merged if w != 0]
+            jumps[lo] = jumps.get(lo, 0) + pw
+        if hi is not None:
+            jumps[hi] = jumps.get(hi, 0) - pw
+    out = []
+    start = None
+    for t in sorted(jumps):
+        if jumps[t]:
+            if w:
+                out.append((start, t, w))
+            start, w = t, w + jumps[t]
+    if w:
+        out.append((start, None, w))
+    return out
 
 
 @dataclass(frozen=True)

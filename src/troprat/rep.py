@@ -1,6 +1,6 @@
 """Representation analysis for tropical rational functions: pair volumes,
 univariate factorization and minimum-volume representations, residuation
-division, bounded factorization search, irreducibility, and complexity."""
+division, factorization search, irreducibility, and complexity."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -135,7 +135,7 @@ def minrep_uni(phi: TropRational) -> RepPair:
 
 
 # ---------------------------------------------------------------------------
-# residuation division and bounded factorization search
+# residuation division and factorization search
 
 
 def _residual(fc: TropPoly, g: TropPoly) -> TropPoly | None:
@@ -216,37 +216,16 @@ def _unit_key(p: TropPoly) -> tuple:
     return tuple(out)
 
 
-def _segment_splits(fc: TropPoly):
-    """Splits of a polynomial whose Newton polygon is a segment.
-
-    Such a polynomial is a unit times a univariate polynomial in the
-    primitive segment direction, so every root yields a linear factor."""
-    env = envelope(fc)
-    _origin, step = env.chain
-    out = []
-    for root, _mult in env.roots:
-        linear = TropPoly(2, {step: Fraction(0), (0, 0): root})
-        g = _residual(fc, linear)
-        if g is None or g.is_bottom or g.is_unit:
-            continue
-        if func_eq(linear * g, fc):
-            out.append((linear, g))
-    return out
-
-
 def _splits(f: TropPoly):
     """Verified two-factor splits recovered by alternating residuation from
     the Minkowski summand pairs of the Newton polygon.
 
     Starting from the all-zero polynomial on a summand's lattice points, two
     residuation rounds reach the fixpoint pair; only pairs that multiply back
-    to f as functions are kept.  Segment Newton polygons are split exactly
-    via their univariate roots instead.
+    to f as functions are kept.
     """
     fc = canonicalize(f)
     newt = newton_polygon(f)
-    if newt.dim == 1 and geom.lattice_length(*newt.vertices) > 1:
-        return _segment_splits(fc)
     out = []
     seen = set()
     for pair in geom.summand_decompositions(newt):
@@ -270,13 +249,19 @@ def _splits(f: TropPoly):
     return out
 
 
-def enumerate_factorizations(f: TropPoly, depth: int = 8):
+def enumerate_factorizations(f: TropPoly):
     """The trivial factorization plus every complete factorization found by
     recursive residuation splitting.
 
-    Complete for all-zero-coefficient inputs; for general coefficients the
-    search is sound (every result is verified with func_eq) but not proven
-    exhaustive.
+    A polynomial whose Newton polygon is a segment is a unit times a
+    univariate polynomial in the segment's primitive direction, so it has
+    one complete factorization: a linear factor per root of its envelope,
+    repeated by multiplicity.  A polygon splits over its Minkowski summand
+    pairs, whose search refuses edge-length sums above 24
+    (`PolygonTooLarge`); that cap, not a depth, bounds the recursion.  The
+    search is exhaustive for all-zero-coefficient polynomials; for general
+    coefficients it is sound (every split is verified with func_eq) but not
+    proven exhaustive.
     """
     if f.arity != 2:
         raise DimensionMismatch("enumerate_factorizations needs arity 2")
@@ -284,27 +269,36 @@ def enumerate_factorizations(f: TropPoly, depth: int = 8):
         raise DegenerateInput("-inf cannot be factored")
     memo: dict = {}
 
-    def complete(p: TropPoly, budget: int):
+    def complete(p: TropPoly):
+        # Terminates: a split (g, h) has Newt(g) + Newt(h) = Newt(p), neither
+        # a point, so each part's edge-length sum is at least 2 below p's;
+        # with the cap of 24 polygons nest at most 12 deep, and a segment
+        # ends the recursion in closed form.
         key = _unit_key(canonicalize(p))
         if key in memo:
             return memo[key]
-        trivial = frozenset({(key,)})
-        if budget == 0 or p.is_unit:
-            memo[key] = trivial
-            return trivial
-        splits = _splits(p)
-        if not splits:
-            memo[key] = trivial
-            return trivial
-        results = set()
-        for g, h in splits:
-            for left in complete(g, budget - 1):
-                for right in complete(h, budget - 1):
-                    results.add(tuple(sorted(left + right)))
-        memo[key] = frozenset(results)
+        env = envelope(p)
+        if p.is_unit:
+            results = set()
+        elif env.chain is not None:
+            step = env.chain[1]
+            linears = [
+                _unit_key(TropPoly(2, {step: 0, (0, 0): root}))
+                for root, mult in env.roots
+                for _ in range(mult)
+            ]
+            results = {tuple(sorted(linears))}
+        else:
+            results = {
+                tuple(sorted(left + right))
+                for g, h in _splits(p)
+                for left in complete(g)
+                for right in complete(h)
+            }
+        memo[key] = frozenset(results or {(key,)})
         return memo[key]
 
-    found = {(_unit_key(canonicalize(f)),)} | set(complete(f, depth))
+    found = {(_unit_key(canonicalize(f)),)} | set(complete(f))
     factorizations = []
     for multiset in sorted(found):
         factorizations.append(

@@ -1,12 +1,14 @@
 """Reference implementations of the upper hull, the lattice-point scan, the
-Minkowski summand search, Pick's formula and the plane-curve cell structure.
+Minkowski summand search, Pick's formula, the plane-curve cell structure and
+the divisor's constant-weight pieces.
 
 These are the straightforward versions that `troprat` replaced: gift
 wrapping that scans every point from every queued edge and drops a facet it
 has seen before by its primitive plane, a bounding-box scan that tests each
 candidate point against every edge, a summand search that tries every pick
-of the product of the edge lengths, and a plane curve whose 1-cells come
-from re-hulling every 2-cell of the subdivision.  The tests require the
+of the product of the edge lengths, a plane curve whose 1-cells come
+from re-hulling every 2-cell of the subdivision, and weighted intervals
+refined at every endpoint, summed per interval and merged.  The tests require the
 library to return exactly what these return, and Pick's formula, counted on
 the bounding-box scan, to agree with `geom.area2`.  They live apart from
 `oracles.py`, which the benchmark's correctness checks import.
@@ -296,3 +298,29 @@ def plane_curve(f) -> PlaneCurve:
     edges.sort(key=lambda e: (e.a, e.b))
     rays.sort(key=lambda r: (r.direction, r.base))
     return PlaneCurve(vertices, tuple(edges), tuple(rays), (), sub)
+
+
+def canonical_pieces(raw):
+    """Refine raw (lo, hi, w) intervals on one line into maximal constant-
+    weight pieces: split at all endpoints, add, merge, drop zeros."""
+    ends = sorted({t for lo, hi, _ in raw for t in (lo, hi) if t is not None})
+    if not ends:
+        total = sum(w for lo, hi, w in raw)
+        return [(None, None, total)] if total else []
+    bounds = [None] + ends + [None]
+    weighted = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        w = 0
+        for plo, phi, pw in raw:
+            if (plo is None or (lo is not None and plo <= lo)) and (
+                phi is None or (hi is not None and hi <= phi)
+            ):
+                w += pw
+        weighted.append([lo, hi, w])
+    merged = []
+    for lo, hi, w in weighted:
+        if merged and merged[-1][2] == w and merged[-1][1] == lo:
+            merged[-1][1] = hi
+        else:
+            merged.append([lo, hi, w])
+    return [(lo, hi, w) for lo, hi, w in merged if w != 0]

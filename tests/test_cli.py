@@ -160,10 +160,6 @@ class TestDeterminismAndErrors:
             code, out, err = run(capsys, *argv)
             assert code == 2 and not out and err.startswith("error: "), argv
 
-    def test_negative_depth_exit(self, capsys):
-        code, out, err = run(capsys, "factor", "--poly", "x + y + 0", "--depth", "-1")
-        assert code == 2 and not out and err.startswith("error: ")
-
     def test_negative_count_exit(self, capsys):
         code, out, err = run(
             capsys, "check-duality", "--num", "x + 0", "--den", "x + 1", "--count", "-5"

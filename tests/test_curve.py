@@ -3,7 +3,9 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import hull_oracles
 from troprat import (
     DegenerateInput,
     TropPoly,
@@ -19,6 +21,7 @@ from troprat import (
     recession_fan,
     trop_mul,
 )
+from troprat.curve import _canonical_pieces
 from troprat.subdiv import cell_endpoints
 from conftest import (
     ALT_MIN_DEN_1,
@@ -242,6 +245,21 @@ class TestDivisor:
             Dg = curve_to_divisor(plane_curve(g))
             Dfg = curve_to_divisor(plane_curve(trop_mul(f, g)))
             assert Dfg == divisor_add(Df, Dg)
+
+
+ends = st.one_of(st.none(), st.builds(Fraction, st.integers(-6, 6), st.integers(1, 2)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(ends, ends, st.integers(-3, 3)), max_size=8))
+def test_canonical_pieces_match_refine_and_merge(intervals):
+    # a finite interval runs from its smaller end; a None lo is -inf, a None hi +inf
+    raw = [
+        (lo, hi, w) if None in (lo, hi) or lo < hi else (hi, lo, w)
+        for lo, hi, w in intervals
+        if lo is None or hi is None or lo != hi
+    ]
+    assert _canonical_pieces(raw) == hull_oracles.canonical_pieces(raw)
 
 
 class TestGraphDuality:

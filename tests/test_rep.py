@@ -2,7 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+import factor_reference
 from troprat import (
     DegenerateInput,
     TropError,
@@ -24,6 +26,8 @@ from troprat import (
     uni_roots,
     vol_pair,
 )
+from troprat import geom, rep
+from troprat.core import newton_polygon
 from troprat.rep import unit_normalize
 from conftest import (
     ALT_MIN_FACTORS,
@@ -214,6 +218,35 @@ class TestFactorizations:
         )
         assert found == want
 
+    def test_long_segment_splits_into_all_its_linears(self):
+        # a segment of lattice length 12 is 12 copies of one linear factor
+        f = p2("(x+0)^12*(y+0)^0")
+        want = _as_key_set([(f,), (p2("x + 0"),) * 12])
+        assert _as_key_set(enumerate_factorizations(f)) == want
+
+    def test_product_of_segments_is_complete(self):
+        # the Newton polygon is a square of side 6 whose only
+        # indecomposable summands are its two primitive edges
+        f = p2("(x+0)^6*(y+0)^6")
+        want = _as_key_set([(f,), (p2("x + 0"),) * 6 + (p2("y + 0"),) * 6])
+        assert _as_key_set(enumerate_factorizations(f)) == want
+
+    def test_hexagon_at_the_edge_sum_cap(self):
+        # edge sum 24: the hexagon with 4 of each of the directions (1, 0),
+        # (1, 1), (0, 1) has indecomposable summands the three primitive
+        # segments and the two unit triangles; a factorization takes the
+        # triangles equally often, 0 to 4 times, plus the trivial one
+        f = p2("(x*y+0)^4*(x+0)^4*(y+0)^4")
+        found = enumerate_factorizations(f)
+        assert len(found) == 6
+        assert all(not rep._splits(p) for fs in found if len(fs) > 1 for p in fs)
+
+    def test_segment_closed_form_on_long_chains(self):
+        f = p2("x^2000 + 0")
+        assert _as_key_set(enumerate_factorizations(f)) == _as_key_set(
+            [(f,), (p2("x + 0"),) * 2000]
+        )
+
     def test_products_verify(self):
         rng = random.Random(75)
         for _ in range(10):
@@ -226,6 +259,52 @@ class TestFactorizations:
                 for p in fs[1:]:
                     prod = trop_mul(prod, p)
                 assert _normalized_key(prod) == _normalized_key(f)
+
+
+def _edge_sum(f):
+    return sum(c for _d, c in geom._edge_multiset(newton_polygon(f)))
+
+
+def _product(polys):
+    out = polys[0]
+    for p in polys[1:]:
+        out = trop_mul(out, p)
+    return out
+
+
+small_supports = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)), st.integers(-3, 3), min_size=2, max_size=4
+)
+segment_steps = st.sampled_from([(1, 0), (0, 1), (1, 1), (1, -1), (2, -1), (1, 3), (-3, 2)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(small_supports, min_size=2, max_size=3), st.booleans())
+def test_factorizations_are_complete_and_multiply_back(supports, all_zero):
+    f = _product([TropPoly(2, {e: 0 if all_zero else c for e, c in s.items()}) for s in supports])
+    assume(_edge_sum(f) <= 14)
+    for fs in enumerate_factorizations(f):
+        if len(fs) > 1:
+            assert all(rep._splits(p) == [] for p in fs)
+        assert _normalized_key(_product(list(fs))) == _normalized_key(f)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+    segment_steps,
+    st.dictionaries(
+        st.integers(0, 8), st.builds(Fraction, st.integers(-30, 30), st.integers(1, 6)),
+        min_size=2, max_size=9,
+    ),
+)
+def test_segments_factor_as_the_recursive_search(start, step, terms):
+    f = TropPoly(2, {(start[0] + t * step[0], start[1] + t * step[1]): c for t, c in terms.items()})
+    found = {
+        tuple(sorted(rep._unit_key(canonicalize(p)) for p in fs))
+        for fs in enumerate_factorizations(f)
+    }
+    assert found == factor_reference.segment_factorizations(f)
 
 
 class TestComplexity:
