@@ -96,12 +96,17 @@ def uni_factor(f: TropPoly) -> FactoredUni:
 
 
 def uni_expand(F: FactoredUni) -> TropPoly:
-    out = TropPoly.monomial((F.monomial_exp,), F.unit_coeff)
-    for root, mult in F.roots:
-        linear = TropPoly(1, {(1,): 0, (0,): root})
-        for _ in range(mult):
-            out = out * linear
-    return out
+    """alpha * x^k * prod (x + root): with n roots counted by multiplicity,
+    the coefficient of x^(k + j) is alpha plus the sum of the n - j largest
+    roots, the best choice of n - j root factors."""
+    roots = sorted(r for r, mult in F.roots for _ in range(mult))
+    top = F.monomial_exp + len(roots)
+    c = F.unit_coeff
+    terms = {(top,): c}
+    for j, r in enumerate(reversed(roots), 1):
+        c += r
+        terms[(top - j,)] = c
+    return TropPoly(1, terms)
 
 
 def minrep_uni(phi: TropRational) -> RepPair:
@@ -152,18 +157,25 @@ def _residual(fc: TropPoly, g: TropPoly) -> TropPoly | None:
 
 def _residual_at(fc: TropPoly, m_g: int, corners) -> TropPoly | None:
     """`_residual` by a g given as its envelope corners: (exponent, int)
-    pairs, each int the coefficient times m_g."""
+    pairs, each int the coefficient times m_g.  One pass over fc's terms e:
+    the shift k = e - i0 of the first corner is kept when k + i is a term
+    for every other corner i, and h(k) is the least fc(k + i) - g(i)."""
     m = lcm(fc._m, m_g)
     fi, lift = fc._over(m), m // m_g
-    corners = [(i, c * lift) for i, c in corners]
-    shifts = None
-    for i, _c in corners:
-        ks = {tuple(map(sub, e, i)) for e in fi}
-        shifts = ks if shifts is None else shifts & ks
-        if not shifts:
-            return None
-    terms = {k: min(fi[tuple(map(add, k, i))] - c for i, c in corners) for k in shifts}
-    return TropPoly._from_ints(fc.arity, m, terms)
+    (i0, c0), *rest = [(i, c * lift) for i, c in corners]
+    terms = {}
+    for e, v in fi.items():
+        k = tuple(map(sub, e, i0))
+        low = v - c0
+        for i, c in rest:
+            w = fi.get(tuple(map(add, k, i)))
+            if w is None:
+                break
+            if w - c < low:
+                low = w - c
+        else:
+            terms[k] = low
+    return TropPoly._from_ints(fc.arity, m, terms) if terms else None
 
 
 def _seeded_residual(fc: TropPoly, summand: geom.Polygon) -> TropPoly | None:
@@ -222,7 +234,8 @@ def _splits(f: TropPoly):
 
     Starting from the all-zero polynomial on a summand's lattice points, two
     residuation rounds reach the fixpoint pair; only pairs that multiply back
-    to f as functions are kept.
+    to f as functions are kept, and a pair is multiplied only when its
+    dedupe key is new.
     """
     fc = canonicalize(f)
     newt = newton_polygon(f)
@@ -230,19 +243,17 @@ def _splits(f: TropPoly):
     seen = set()
     for pair in geom.summand_decompositions(newt):
         for summand in pair:
+            # A third round fc / h would return g: fc is canonical, so x -> fc / x
+            # is a Galois connection on coefficient maps, and applied three
+            # times it equals itself applied once.
             g = _seeded_residual(fc, summand)
-            if g is None or g.is_bottom or g.is_unit:
+            if g is None or g.is_unit:
                 continue
             h = _residual(fc, g)
-            if h is None or h.is_bottom or h.is_unit:
-                continue
-            g2 = _residual(fc, h)
-            if g2 is not None and not g2.is_bottom:
-                g = g2
-            if not func_eq(g * h, f):
+            if h is None or h.is_unit:
                 continue
             key = tuple(sorted((_unit_key(g), _unit_key(h))))
-            if key in seen:
+            if key in seen or not func_eq(g * h, f):
                 continue
             seen.add(key)
             out.append((g, h))

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 import factor_reference
 from troprat import (
     DegenerateInput,
+    FactoredUni,
     TropError,
     TropPoly,
     TropRational,
@@ -112,6 +113,24 @@ class TestUniRoots:
             total = sum(m for _, m in uni_roots(f))
             exps = [e[0] for e in f.support]
             assert total == max(exps) - min(exps)
+
+
+uni_coefficients = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    uni_coefficients,
+    st.integers(-3, 3),
+    st.dictionaries(uni_coefficients, st.integers(1, 4), max_size=5),
+)
+def test_uni_expand_is_the_product_of_its_linear_factors(alpha, k, roots):
+    F = FactoredUni(alpha, k, tuple(sorted(roots.items())))
+    want = TropPoly.monomial((k,), alpha)
+    for root, mult in F.roots:
+        for _ in range(mult):
+            want = want * TropPoly(1, {(1,): 0, (0,): root})
+    assert uni_expand(F) == want
 
 
 class TestMinrep:

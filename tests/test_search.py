@@ -1,16 +1,20 @@
 """The factorization search against the straightforward versions it replaced:
 the summand pairs against trying every pick of the edge product (kept in
 `hull_oracles`), the residuation seeded from a summand's vertices against the
-all-zero seed on its lattice points, and the integer memo key against the key
-read from `unit_normalize` through `items()`."""
+all-zero seed on its lattice points, the integer memo key against the key
+read from `unit_normalize` through `items()`, and the two-round splits
+against the three-round search kept in `factor_reference`.  Residuation by a
+canonical fc applied three times equals it applied once, which is why two
+rounds suffice."""
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import factor_reference
 import hull_oracles
-from troprat import PolygonTooLarge, TropPoly, canonicalize, geom
-from troprat.rep import _residual, _seeded_residual, _unit_key, unit_normalize
+from troprat import PolygonTooLarge, TropPoly, canonicalize, geom, trop_mul
+from troprat.rep import _residual, _seeded_residual, _splits, _unit_key, unit_normalize
 
 SEARCH = settings(max_examples=200, deadline=None)
 
@@ -83,9 +87,9 @@ coefficients = st.one_of(
 )
 
 
-def polys(arity, min_size=1):
-    exponent = st.tuples(*[st.integers(-4, 4)] * arity)
-    return st.dictionaries(exponent, coefficients, min_size=min_size, max_size=8).map(
+def polys(arity, min_size=1, box=4, max_size=8):
+    exponent = st.tuples(*[st.integers(-box, box)] * arity)
+    return st.dictionaries(exponent, coefficients, min_size=min_size, max_size=max_size).map(
         lambda terms: TropPoly(arity, terms)
     )
 
@@ -104,3 +108,49 @@ def test_unit_key_matches_the_normalized_terms(p):
     want = tuple((e, (c.numerator, c.denominator)) for e, c in unit_normalize(p).items())
     assert _unit_key(p) == want
 
+
+def _three_residuations_equal_one(fc, a):
+    """a = fc / x for some x; then fc / (fc / a) = a.  The middle residual
+    exists, since x itself satisfies a * x <= fc."""
+    if a is None:
+        return
+    b = _residual(fc, a)
+    assert b is not None
+    assert _residual(fc, b) == a
+
+
+ALPHA = settings(max_examples=300, deadline=None)
+
+
+@ALPHA
+@given(
+    st.sampled_from([1, 2]).flatmap(
+        lambda arity: st.tuples(polys(arity), polys(arity, box=1, max_size=4))
+    )
+)
+def test_three_residuations_equal_one(fg):
+    f, g = fg
+    fc = canonicalize(f)
+    _three_residuations_equal_one(fc, _residual(fc, g))
+
+
+@ALPHA
+@given(polys(2), polygons(2))
+def test_three_residuations_from_a_summand_seed_equal_one(f, Q):
+    fc = canonicalize(f)
+    _three_residuations_equal_one(fc, _seeded_residual(fc, Q))
+
+
+small_supports = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    st.one_of(st.integers(-3, 3), st.builds(Fraction, st.integers(-12, 12), st.integers(1, 4))),
+    min_size=2,
+    max_size=4,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_supports, small_supports)
+def test_splits_match_the_three_round_search(a, b):
+    f = trop_mul(TropPoly(2, a), TropPoly(2, b))
+    assert _splits(f) == factor_reference.splits(f)
