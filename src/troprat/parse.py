@@ -17,9 +17,8 @@ rational functions are always supplied as two separate polynomial strings.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 from .core import TropPoly
 from .errors import LexError, ParseError, TropError
@@ -71,210 +70,132 @@ def tokenize(src: str) -> list[Token]:
     return out
 
 
-# ---------------------------------------------------------------------------
-# syntax tree: a poly is a sum of terms, a term a product of factors, a
-# factor a base with an optional integer power
-
-
-@dataclass(frozen=True)
-class NumberLit:
-    value: Fraction
-    position: int
-
-
-@dataclass(frozen=True)
-class VarRef:
-    index: int  # into the declared ordered variable list
-    position: int
-
-
-@dataclass(frozen=True)
-class FactorNode:
-    base: Union["NumberLit", "VarRef", "PolyNode"]
-    power: int | None
-    position: int
-
-
-@dataclass(frozen=True)
-class TermNode:
-    factors: tuple
-
-
-@dataclass(frozen=True)
-class PolyNode:
-    terms: tuple
-    bottom: bool = False  # the whole-input "-inf" case
-
-
-def _split_vars(lexeme: str, vars: tuple, position: int) -> list[int]:
-    """Split a juxtaposed identifier like "xy" into declared variable indices,
-    longest declared name first."""
-    order = sorted(range(len(vars)), key=lambda k: -len(vars[k]))
-    out = []
-    i = 0
-    while i < len(lexeme):
-        for k in order:
-            if lexeme.startswith(vars[k], i):
-                out.append(k)
-                i += len(vars[k])
-                break
-        else:
-            raise ParseError(
-                f"unknown variable {lexeme[i:]!r} (declared: {', '.join(vars)})",
-                position + i,
-            )
-    return out
+_FACTOR_START = (NUMBER, VARIABLE, LPAREN)
+_RATIONAL = (NUMBER, SLASH, NUMBER, RPAREN)  # after the '(' of "(p/q)"
 
 
 class _Parser:
+    """Recursive descent that folds as it goes: each rule returns its
+    TropPoly, so no syntax tree is built."""
+
     def __init__(self, tokens: list[Token], vars: tuple):
         self.toks = tokens
+        self.kinds = tuple(t.kind for t in tokens)
         self.vars = vars
+        self.arity = len(vars)
+        # juxtaposed identifiers split longest declared name first
+        self.order = sorted(range(len(vars)), key=lambda k: -len(vars[k]))
         self.i = 0
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.i + ahead, len(self.toks) - 1)]
+    def peek(self) -> Token:
+        return self.toks[self.i]
 
     def take(self, kind: str) -> Token:
-        t = self.peek()
+        t = self.toks[self.i]
         if t.kind != kind:
             raise ParseError(f"expected {kind}, found {t.kind}", t.position)
         self.i += 1
         return t
 
-    def parse(self) -> PolyNode:
+    def parse(self) -> TropPoly:
         if self.peek().kind == MINUS_INF:
-            t = self.take(MINUS_INF)
+            self.i += 1
             self.take(EOF)
-            return PolyNode((), bottom=True)
-        node = self.poly()
+            return TropPoly.zero(self.arity)
+        p = self.poly()
         self.take(EOF)
-        return node
+        return p
 
-    def poly(self) -> PolyNode:
+    def poly(self) -> TropPoly:
         terms = [self.term()]
         while self.peek().kind == PLUS:
-            self.take(PLUS)
+            self.i += 1
             terms.append(self.term())
-        return PolyNode(tuple(terms))
+        return TropPoly._sum(self.arity, terms)
 
-    _FACTOR_START = (NUMBER, VARIABLE, LPAREN)
-
-    def term(self) -> TermNode:
-        factors = list(self.factor())
+    def term(self) -> TropPoly:
+        """A product of factors: numbers and variables add up to one exponent
+        and one coefficient; only parenthesised sums are multiplied."""
+        exponent, coeff, out = [0] * self.arity, Fraction(0), None
         while True:
             t = self.peek()
-            if t.kind == STAR:
-                self.take(STAR)
-                factors.extend(self.factor())
-            elif t.kind in self._FACTOR_START:
-                factors.extend(self.factor())
+            self.i += 1
+            if t.kind == VARIABLE:
+                # "xy^2" is one factor per name, the power bound to the last
+                names = self.split_vars(t)
+                for k in names[:-1]:
+                    exponent[k] += 1
+                exponent[names[-1]] += self.power()
+            elif t.kind == NUMBER:
+                coeff += Fraction(t.lexeme) * self.power()
+            elif t.kind == LPAREN and self.kinds[self.i : self.i + 4] == _RATIONAL:
+                num, _, den, _ = self.toks[self.i : self.i + 4]
+                self.i += 4
+                if "." in num.lexeme or "." in den.lexeme:
+                    raise ParseError("rational literal parts must be integers", num.position)
+                coeff += Fraction(int(num.lexeme), int(den.lexeme)) * self.power()
+            elif t.kind == LPAREN:
+                p = self.poly()
+                self.take(RPAREN)
+                k = self.power()
+                try:
+                    p = p**k
+                except TropError as exc:
+                    raise ParseError(str(exc), t.position) from None
+                out = p if out is None else out * p
+            elif t.kind == MINUS_INF:
+                raise ParseError("'-inf' is only valid as the whole input", t.position)
+            elif t.kind == SLASH:
+                raise ParseError(
+                    "'/' is only valid inside a parenthesized rational literal", t.position
+                )
             else:
-                return TermNode(tuple(factors))
+                raise ParseError(f"expected a term, found {t.kind}", t.position)
+            kind = self.peek().kind
+            if kind == STAR:
+                self.i += 1
+            elif kind not in _FACTOR_START:
+                break
+        if out is None:
+            return TropPoly.monomial(exponent, coeff)
+        return out.shift(exponent).scale(coeff)
 
-    def factor(self) -> list[FactorNode]:
-        """One grammar factor; a juxtaposed identifier like "xy^2" yields one
-        factor per variable with the power bound to the last."""
-        t = self.peek()
-        if t.kind == VARIABLE:
-            self.take(VARIABLE)
-            idx = _split_vars(t.lexeme, self.vars, t.position)
-            nodes = [FactorNode(VarRef(k, t.position), None, t.position) for k in idx[:-1]]
-            nodes.append(
-                FactorNode(VarRef(idx[-1], t.position), self.maybe_power(), t.position)
-            )
-            return nodes
-        base = self.base()
-        return [FactorNode(base, self.maybe_power(), t.position)]
+    def split_vars(self, t: Token) -> list[int]:
+        """The declared variable indices of a juxtaposed identifier like "xy"."""
+        lexeme, vars = t.lexeme, self.vars
+        out = []
+        i = 0
+        while i < len(lexeme):
+            for k in self.order:
+                if lexeme.startswith(vars[k], i):
+                    out.append(k)
+                    i += len(vars[k])
+                    break
+            else:
+                raise ParseError(
+                    f"unknown variable {lexeme[i:]!r} (declared: {', '.join(vars)})",
+                    t.position + i,
+                )
+        return out
 
-    def maybe_power(self) -> int | None:
+    def power(self) -> int:
+        """The optional '^' integer power of the factor just read; 1 if none."""
         if self.peek().kind != CARET:
-            return None
-        self.take(CARET)
+            return 1
+        self.i += 1
         t = self.take(NUMBER)
         try:
             return int(t.lexeme)
         except ValueError:
             raise ParseError("exponent must be an integer", t.position) from None
 
-    def base(self):
-        t = self.peek()
-        if t.kind == NUMBER:
-            self.take(NUMBER)
-            return NumberLit(Fraction(t.lexeme), t.position)
-        if t.kind == LPAREN:
-            if (
-                self.peek(1).kind == NUMBER
-                and self.peek(2).kind == SLASH
-                and self.peek(3).kind == NUMBER
-                and self.peek(4).kind == RPAREN
-            ):
-                self.take(LPAREN)
-                num = self.take(NUMBER)
-                self.take(SLASH)
-                den = self.take(NUMBER)
-                self.take(RPAREN)
-                if "." in num.lexeme or "." in den.lexeme:
-                    raise ParseError(
-                        "rational literal parts must be integers", num.position
-                    )
-                return NumberLit(
-                    Fraction(int(num.lexeme), int(den.lexeme)), num.position
-                )
-            self.take(LPAREN)
-            node = self.poly()
-            self.take(RPAREN)
-            return node
-        if t.kind == MINUS_INF:
-            raise ParseError("'-inf' is only valid as the whole input", t.position)
-        if t.kind == SLASH:
-            raise ParseError(
-                "'/' is only valid inside a parenthesized rational literal", t.position
-            )
-        raise ParseError(f"expected a term, found {t.kind}", t.position)
-
-
-def parse_ast(src: str, vars=("x",)) -> PolyNode:
-    """Parse to the syntax tree without evaluating it."""
-    vars = tuple(vars)
-    if not vars or len(set(vars)) != len(vars):
-        raise ParseError("variable list must be nonempty and distinct", 0)
-    return _Parser(tokenize(src), vars).parse()
-
-
-def fold_ast(node, arity: int) -> TropPoly:
-    """Evaluate a syntax tree into a tropical polynomial."""
-    if isinstance(node, PolyNode):
-        if node.bottom:
-            return TropPoly.zero(arity)
-        return TropPoly._sum(arity, [fold_ast(term, arity) for term in node.terms])
-    if isinstance(node, TermNode):
-        # numbers and variables add up to one monomial; only parenthesised
-        # factors are multiplied as polynomials
-        exponent, coeff, out = [0] * arity, Fraction(0), None
-        for factor in node.factors:
-            base, k = factor.base, 1 if factor.power is None else factor.power
-            if isinstance(base, NumberLit):
-                coeff += base.value * k
-            elif isinstance(base, VarRef):
-                exponent[base.index] += k
-            else:
-                p = fold_ast(base, arity)
-                try:
-                    p = p**k
-                except TropError as exc:
-                    raise ParseError(str(exc), factor.position) from None
-                out = p if out is None else out * p
-        if out is None:
-            return TropPoly.monomial(exponent, coeff)
-        return out.shift(exponent).scale(coeff)
-    raise TypeError(f"not a syntax node: {node!r}")
-
 
 def parse_poly(src: str, vars=("x",)) -> TropPoly:
     """Parse a tropical polynomial over the ordered variable list `vars`."""
     vars = tuple(vars)
-    return fold_ast(parse_ast(src, vars), len(vars))
+    if not vars or len(set(vars)) != len(vars):
+        raise ParseError("variable list must be nonempty and distinct", 0)
+    return _Parser(tokenize(src), vars).parse()
 
 
 def default_vars(arity: int):

@@ -2,8 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from troprat import LexError, ParseError, TropPoly, format_poly, parse_poly, tokenize
+from troprat import LexError, ParseError, TropError, TropPoly, format_poly, parse_poly, tokenize
 from conftest import (
     ALT_MIN_DEN_1,
     ALT_MIN_NUM_1,
@@ -121,39 +122,131 @@ class TestParse:
             ("(x + y)^0 x", lambda: (X + Y) ** 0 * X),
             ("2(x + y)(x + 0)1.5y^-2", lambda: C(2) * (X + Y) * (X + C(0)) * C(1.5) * Y**-2),
             ("(x)^-2(y + 1)^2", lambda: X**-2 * (Y + C(1)) ** 2),
+            ("xy^2", lambda: X * Y**2),
         ],
     )
     def test_term_is_the_product_of_its_factors(self, src, product):
         assert p2(src) == C(0) * product()
+
+    def test_first_error_in_reading_order(self):
+        # the negative power is folded before the second '+' is read
+        with pytest.raises(ParseError) as err:
+            p1("(x + 0)^-1 + + 0")
+        assert err.value.position == 0
 
     def test_empty_variable_list(self):
         with pytest.raises(ParseError):
             parse_poly("x", ())
 
 
-class TestAst:
-    def test_tree_shape(self):
-        from troprat.parse import NumberLit, PolyNode, TermNode, VarRef, parse_ast
+# Random expression trees, rendered to text and evaluated with TropPoly
+# operators.  A sum is a list of terms, a term a list of (separator, factor),
+# and a factor one of ("number", (text, value), power),
+# ("names", variable indices, power) or ("paren", sum, power); power is None
+# or an int.
 
-        node = parse_ast("3x^2 + 0", ("x",))
-        assert isinstance(node, PolyNode) and len(node.terms) == 2
-        first = node.terms[0]
-        assert isinstance(first, TermNode) and len(first.factors) == 2
-        coeff, var = first.factors
-        assert isinstance(coeff.base, NumberLit) and coeff.power is None
-        assert isinstance(var.base, VarRef) and var.power == 2
-        assert isinstance(node.terms[1].factors[0].base, NumberLit)
 
-    def test_bottom_marker(self):
-        from troprat.parse import parse_ast
+def _decimal(sign, whole, digits):
+    value = whole + Fraction(int(digits), 10 ** len(digits))
+    return f"{sign}{whole}.{digits}", -value if sign else value
 
-        assert parse_ast("-inf", ("x",)).bottom
 
-    def test_fold_matches_parse(self):
-        from troprat.parse import fold_ast, parse_ast
+_NUMBERS = st.one_of(
+    st.integers(-9, 9).map(lambda n: (str(n), Fraction(n))),
+    st.builds(
+        _decimal,
+        st.sampled_from(("", "-")),
+        st.integers(0, 9),
+        st.text("0123456789", min_size=1, max_size=2),
+    ),
+    st.builds(lambda p, q: (f"({p}/{q})", Fraction(p, q)), st.integers(-9, 9), st.integers(1, 9)),
+)
+_POWERS = st.none() | st.integers(-2, 3)
+_SEPARATORS = st.sampled_from(("*", " * ", " ", ""))
 
-        src = "(x + 0)^2 + (-1)*x*y"
-        assert fold_ast(parse_ast(src, XY), 2) == parse_poly(src, XY)
+
+def _sums(factors):
+    terms = st.lists(st.tuples(_SEPARATORS, factors), min_size=1, max_size=3)
+    return st.lists(terms, min_size=1, max_size=3)
+
+
+_LEAVES = st.one_of(
+    st.tuples(st.just("number"), _NUMBERS, _POWERS),
+    # a juxtaposed identifier like "xy^2": the power binds to the last name
+    st.tuples(st.just("names"), st.lists(st.integers(0, 1), min_size=1, max_size=3), _POWERS),
+)
+
+
+def _factors(depth):
+    if depth == 0:
+        return _LEAVES
+    return _LEAVES | st.tuples(st.just("paren"), _sums(_factors(depth - 1)), _POWERS)
+
+
+_TREES = _sums(_factors(2))
+
+
+class _Render:
+    """Writes a tree as text and folds it with TropPoly operators.  `error`
+    is the offset of the '(' of the first negative power of a non-monomial,
+    first in the order the parser completes factors."""
+
+    def __init__(self, tree):
+        self.text, self.error = "", None
+        self.value = self.sum(tree)
+
+    def sum(self, terms):
+        values = []
+        for i, term in enumerate(terms):
+            self.text += " + " if i else ""
+            values.append(self.term(term))
+        return sum(values[1:], values[0])
+
+    def term(self, factors):
+        value = C(0)
+        for i, (sep, factor) in enumerate(factors):
+            # juxtaposed numbers would run together: "2" "3" is not "23"
+            if sep == "" and factor[0] == "number" and not factor[1][0].startswith("("):
+                sep = " "
+            self.text += sep if i else ""
+            value = value * self.factor(*factor)
+        return value
+
+    def factor(self, kind, body, power):
+        at, k = len(self.text), 1 if power is None else power
+        if kind == "number":
+            self.text += body[0]
+            base = C(body[1])
+        elif kind == "names":
+            self.text += "".join("xy"[i] for i in body)
+            base = C(0)
+            for i in body[:-1]:
+                base = base * (X, Y)[i]
+            base, k = base * (X, Y)[body[-1]] ** k, 1
+        else:
+            self.text += "("
+            base = self.sum(body)
+            self.text += ")"
+        if power is not None:
+            self.text += f"^{power}"
+        try:
+            return base**k
+        except TropError:
+            if self.error is None:
+                self.error = at
+            return base
+
+
+@settings(max_examples=200, deadline=None)
+@given(_TREES)
+def test_parse_equals_the_folded_tree(tree):
+    r = _Render(tree)
+    if r.error is None:
+        assert parse_poly(r.text, XY) == r.value
+    else:
+        with pytest.raises(ParseError) as err:
+            parse_poly(r.text, XY)
+        assert err.value.position == r.error
 
 
 class TestFormat:

@@ -266,6 +266,25 @@ class TestFactorizations:
             [(f,), (p2("x + 0"),) * 2000]
         )
 
+    # two factors with one Newton polygon and nonzero coefficients
+    EQUAL_POLYGONS = ("3*x*y + (-1)*y + (-4)", "(-2)*x*y + 1*y + 2")
+
+    def test_equal_newton_polygons_divide(self):
+        g, h = (p2(s) for s in self.EQUAL_POLYGONS)
+        f = p2("(%s) * (%s)" % self.EQUAL_POLYGONS)
+        assert _normalized_key(try_divide(f, g)) == _normalized_key(h)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="known defect: residuation from the all-zero seed misses a split "
+        "whose factors share one Newton polygon (ROADMAP item 1)",
+    )
+    def test_equal_newton_polygons_factor(self):
+        # both factors are unimodular triangles, so (g, h) is complete
+        f = p2("(%s) * (%s)" % self.EQUAL_POLYGONS)
+        found = enumerate_factorizations(f)
+        assert _as_key_set([tuple(p2(s) for s in self.EQUAL_POLYGONS)]) <= _as_key_set(found)
+
     def test_products_verify(self):
         rng = random.Random(75)
         for _ in range(10):
