@@ -247,17 +247,42 @@ class TropPoly:
     def _peak_cleared(self, z, d) -> tuple:
         """(top, hits) at the point z / d, z ints and d > 0 an int: the max
         over the terms is top / (m*d), each m*d*(c + e.p) = c*d + m*(e.z) an
-        int, and `hits` terms attain it; top is None for -inf."""
-        m = self._m
-        q = [m * x for x in z]
-        top = None
-        hits = 0
-        for e, c in self._ints.items():
-            v = c * d + sum(map(mul, e, q))
-            if top is None or v > top:
-                top, hits = v, 1
-            elif v == top:
-                hits += 1
+        int, and `hits` terms attain it; top is None for -inf.  Arities 1-3
+        (3 is a stacked pair of arity 2) unpack the exponents."""
+        m, n = self._m, self.arity
+        top, hits = None, 0
+        if n == 1:
+            q0 = m * z[0]
+            for (e0,), c in self._ints.items():
+                v = c * d + e0 * q0
+                if top is None or v > top:
+                    top, hits = v, 1
+                elif v == top:
+                    hits += 1
+        elif n == 2:
+            q0, q1 = m * z[0], m * z[1]
+            for (e0, e1), c in self._ints.items():
+                v = c * d + e0 * q0 + e1 * q1
+                if top is None or v > top:
+                    top, hits = v, 1
+                elif v == top:
+                    hits += 1
+        elif n == 3:
+            q0, q1, q2 = m * z[0], m * z[1], m * z[2]
+            for (e0, e1, e2), c in self._ints.items():
+                v = c * d + e0 * q0 + e1 * q1 + e2 * q2
+                if top is None or v > top:
+                    top, hits = v, 1
+                elif v == top:
+                    hits += 1
+        else:
+            q = [m * x for x in z]
+            for e, c in self._ints.items():
+                v = c * d + sum(map(mul, e, q))
+                if top is None or v > top:
+                    top, hits = v, 1
+                elif v == top:
+                    hits += 1
         return top, hits
 
     def __call__(self, point) -> TropNum:

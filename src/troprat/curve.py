@@ -372,92 +372,89 @@ def graph_duality_check(f: TropPoly, g: TropPoly, samples) -> DualityReport:
     )
 
 
-def _phi(f: TropPoly, g: TropPoly, point) -> Fraction | None:
-    """phi(x) = f(x) - g(x) at a point of Fractions or ints, None for -inf;
-    g is not -inf."""
-    z, d = clear_denominators(point)
-    top_f = f._peak_cleared(z, d)[0]
-    if top_f is None:
-        return None
-    mf, mg = f._m, g._m
-    return Fraction(top_f * mg - g._peak_cleared(z, d)[0] * mf, mf * mg * d)
-
-
-def _rand_q(rng: random.Random, span: int = 8, max_den: int = 64) -> Fraction:
+def _rand_q(rng: random.Random, span: int = 8, max_den: int = 64) -> tuple:
+    """A random rational in [-span, span] as the ints (numerator, denominator)."""
     d = rng.randint(1, max_den)
-    return Fraction(rng.randint(-span * d, span * d), d)
+    return rng.randint(-span * d, span * d), d
 
 
 def _locus_pieces(f: TropPoly):
-    """Sampleable pieces of V(f), or an empty list when V(f) is trivial."""
+    """Sampleable pieces of V(f), or an empty list when V(f) is trivial, each
+    cleared to ints (lo, hi, z, step, d): a draw k in [lo, hi] is the point
+    (z + k*step) / d, and a root (step None) is the one point z / d."""
     if f.is_bottom or f.is_unit:
         return []
     if f.arity == 1:
-        return [("root", (r,)) for r, _mult in envelope(f).roots]
+        return [(0, 0, [r.numerator], None, r.denominator) for r, _mult in envelope(f).roots]
     try:
         C = plane_curve(f)
     except TropError:
         return []
-    return (
-        [("edge", e) for e in C.edges]
-        + [("ray", r) for r in C.rays]
-        + [("line", L) for L in C.lines]
-    )
-
-
-def _locus_point(pieces, rng: random.Random):
-    """A random rational point from precomputed locus pieces."""
-    if not pieces:
-        return None
-    kind, obj = pieces[rng.randrange(len(pieces))]
-    if kind == "root":
-        return obj
-    if kind == "edge":
-        t = Fraction(rng.randint(0, 16), 16)
-        return (
-            obj.a[0] + t * (obj.b[0] - obj.a[0]),
-            obj.a[1] + t * (obj.b[1] - obj.a[1]),
-        )
-    t = Fraction(rng.randint(0, 64), 8) if kind == "ray" else Fraction(rng.randint(-64, 64), 8)
-    return (obj.base[0] + t * obj.direction[0], obj.base[1] + t * obj.direction[1])
+    pieces = []
+    for e in C.edges:  # a + (k/16)(b - a) = (16a + k(b - a)) / 16
+        (a0, a1, b0, b1), d = clear_denominators(e.a + e.b)
+        pieces.append((0, 16, [16 * a0, 16 * a1], [b0 - a0, b1 - a1], 16 * d))
+    for lo, rays in ((0, C.rays), (-64, C.lines)):  # base + (k/8) dir
+        for r in rays:
+            (z0, z1), d = clear_denominators(r.base)
+            step = [d * r.direction[0], d * r.direction[1]]
+            pieces.append((lo, 64, [8 * z0, 8 * z1], step, 8 * d))
+    return pieces
 
 
 def duality_samples(f: TropPoly, g: TropPoly, count: int, seed: int):
     """Deterministic sample mix: graph points, points below V(f) and above
-    V(g), near-graph probes, and fully random points."""
+    V(g), near-graph probes, and fully random points.
+
+    Draws stay int pairs and points stay ints over a common denominator;
+    only the emitted coordinates become Fractions."""
     if g.is_bottom:
         raise DegenerateInput("denominator must not be -inf")
     if f.arity != g.arity:
         raise DimensionMismatch("arity mismatch")
     rng = random.Random(seed)
     n = f.arity
+    mf, mg = f._m, g._m
+
+    def phi(z, d):
+        """phi(z / d) = p / q as the ints (p, q), q > 0, or None for -inf."""
+        top_f = f._peak_cleared(z, d)[0]
+        if top_f is None:
+            return None
+        return top_f * mg - g._peak_cleared(z, d)[0] * mf, mf * mg * d
+
     num_pieces = _locus_pieces(f)
     den_pieces = _locus_pieces(g)
     out = []
     while len(out) < count:
         mode = len(out) % 5
-        x = tuple(_rand_q(rng) for _ in range(n))
-        phi = _phi(f, g, x) if mode in (0, 4) else None  # only these modes read it
-        if mode == 0 and phi is not None:
-            out.append(x + (phi,))
-            continue
-        if mode == 2:
-            p = _locus_point(num_pieces, rng)
-            if p is not None:
-                v = _phi(f, g, p)
-                if v is not None:
-                    out.append(p + (v - 1 - abs(_rand_q(rng, span=2)),))
-                    continue
-        if mode == 3:
-            p = _locus_point(den_pieces, rng)
-            if p is not None:
-                v = _phi(f, g, p)
-                base = v if v is not None else Fraction(0)
-                out.append(p + (base + 1 + abs(_rand_q(rng, span=2)),))
+        x = [_rand_q(rng) for _ in range(n)]
+        if mode in (0, 4):  # only these modes read phi(x)
+            d = 1
+            for _a, b in x:
+                d *= b
+            v = phi([a * (d // b) for a, b in x], d)
+            if v is not None:
+                p, q = v
+                if mode == 4:  # phi +- 1/e
+                    e = rng.randint(2, 64)
+                    p, q = p * e + (q if rng.random() < 0.5 else -q), q * e
+                out.append(tuple(Fraction(u, w) for u, w in x) + (Fraction(p, q),))
                 continue
-        if mode == 4 and phi is not None:
-            eps = Fraction(1, rng.randint(2, 64))
-            out.append(x + (phi + (eps if rng.random() < 0.5 else -eps),))
-            continue
-        out.append(x + (_rand_q(rng),))
+        locus = num_pieces if mode == 2 else den_pieces if mode == 3 else None
+        if locus:
+            lo, hi, z, step, d = locus[rng.randrange(len(locus))]
+            if step is not None:
+                k = rng.randint(lo, hi)
+                z = [u + k * s for u, s in zip(z, step)]
+            v = phi(z, d)
+            if mode == 3 or v is not None:  # t = phi -+ (1 + |a/b|), phi = 0 for -inf
+                p, q = v or (0, 1)
+                a, b = _rand_q(rng, span=2)
+                off = q * b + abs(a) * q
+                t = Fraction(p * b + (off if mode == 3 else -off), q * b)
+                out.append(tuple(Fraction(u, d) for u in z) + (t,))
+                continue
+        a, b = _rand_q(rng)
+        out.append(tuple(Fraction(u, w) for u, w in x) + (Fraction(a, b),))
     return out

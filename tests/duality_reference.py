@@ -5,14 +5,48 @@ the reference the integer versions must reproduce exactly."""
 from fractions import Fraction
 import random
 
-from troprat.core import TropNum, TropPoly, as_q, stack_pair
-from troprat.curve import (
-    DualityReport,
-    _locus_pieces,
-    _locus_point,
-    _rand_q,
-    hypersurface_member,
-)
+from troprat.core import TropNum, TropPoly, as_q, envelope, stack_pair
+from troprat.curve import DualityReport, hypersurface_member, plane_curve
+from troprat.errors import TropError
+
+
+def _rand_q(rng: random.Random, span: int = 8, max_den: int = 64) -> Fraction:
+    d = rng.randint(1, max_den)
+    return Fraction(rng.randint(-span * d, span * d), d)
+
+
+def _locus_pieces(f: TropPoly):
+    """Sampleable pieces of V(f), or an empty list when V(f) is trivial."""
+    if f.is_bottom or f.is_unit:
+        return []
+    if f.arity == 1:
+        return [("root", (r,)) for r, _mult in envelope(f).roots]
+    try:
+        C = plane_curve(f)
+    except TropError:
+        return []
+    return (
+        [("edge", e) for e in C.edges]
+        + [("ray", r) for r in C.rays]
+        + [("line", L) for L in C.lines]
+    )
+
+
+def _locus_point(pieces, rng: random.Random):
+    """A random rational point from precomputed locus pieces."""
+    if not pieces:
+        return None
+    kind, obj = pieces[rng.randrange(len(pieces))]
+    if kind == "root":
+        return obj
+    if kind == "edge":
+        t = Fraction(rng.randint(0, 16), 16)
+        return (
+            obj.a[0] + t * (obj.b[0] - obj.a[0]),
+            obj.a[1] + t * (obj.b[1] - obj.a[1]),
+        )
+    t = Fraction(rng.randint(0, 64), 8) if kind == "ray" else Fraction(rng.randint(-64, 64), 8)
+    return (obj.base[0] + t * obj.direction[0], obj.base[1] + t * obj.direction[1])
 
 
 def graph_duality_check(f: TropPoly, g: TropPoly, samples) -> DualityReport:

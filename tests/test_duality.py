@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import duality_reference as reference
 from oracles import max_and_hits
-from troprat import TropError, TropPoly, curve, plane_curve, stack_pair
+from troprat import TropError, TropPoly, curve, plane_curve, stack_pair, uni_roots
 from troprat.core import envelope
 from troprat.curve import DualityReport, duality_samples, graph_duality_check
 
@@ -120,3 +120,28 @@ def test_membership_comes_from_the_stacked_polynomial(monkeypatch):
     assert graph_duality_check(f, g, samples).ok
     monkeypatch.setattr(curve, "stack_pair", lambda f, g: stack_pair(f.scale(1), g))
     assert not graph_duality_check(f, g, samples).ok
+
+
+def _vertical_rays(C, dy):
+    """{x: weight} of the rays of C pointing straight down (dy = -1) or up."""
+    return {r.base[0]: r.weight for r in C.rays if r.direction == (0, dy)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys(1), polys(1))
+def test_univariate_duality_read_off_the_stacked_curve(f, g):
+    """V(f + y*g) for arity 1, from the 2-d hull: rays down at the roots of f
+    and up at the roots of g, weighted by multiplicity (read from the 1-d
+    envelope), and every other piece on the graph of phi = f - g."""
+    C = plane_curve(stack_pair(f, g))
+    assert _vertical_rays(C, -1) == dict(uni_roots(f))
+    assert _vertical_rays(C, 1) == dict(uni_roots(g))
+    ends = [(e.a, e.b) for e in C.edges]
+    for r in C.rays:
+        if r.direction[0]:
+            ends.append((r.base, tuple(b + d for b, d in zip(r.base, r.direction))))
+    for L in C.lines:
+        ends.append(tuple(tuple(b + s * d for b, d in zip(L.base, L.direction)) for s in (-1, 1)))
+    for a, b in ends:
+        for x, y in (a, b, ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)):
+            assert y == max_and_hits(f, (x,))[0] - max_and_hits(g, (x,))[0], (f, g, a, b)

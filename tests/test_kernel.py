@@ -48,7 +48,7 @@ def _agrees(f, p):
 @KERNEL
 @given(st.data())
 def test_eval_and_membership_match_fraction_loop(data):
-    arity = data.draw(st.sampled_from([1, 2]))
+    arity = data.draw(st.sampled_from([1, 2, 3, 4]))
     f = data.draw(laurent_polys(arity))
     _agrees(f, data.draw(points(arity)))
 
