@@ -314,16 +314,23 @@ class TropPoly:
     def __mul__(self, other: "TropPoly") -> "TropPoly":
         self._check(other)
         m = lcm(self._m, other._m)
-        right = other._over(m).items()
+        left, right = self._over(m).items(), other._over(m).items()
         terms: dict = {}
         get = terms.get
-        for e1, c1 in self._over(m).items():
-            for e2, c2 in right:
-                e = tuple(map(add, e1, e2))
-                c = c1 + c2
-                cur = get(e)
-                if cur is None or c > cur:
-                    terms[e] = c
+        if self.arity == 2:  # unpacked: no tuple(map(...)) per pair
+            for (x1, y1), c1 in left:
+                for (x2, y2), c2 in right:
+                    e, c = (x1 + x2, y1 + y2), c1 + c2
+                    cur = get(e)
+                    if cur is None or c > cur:
+                        terms[e] = c
+        else:
+            for e1, c1 in left:
+                for e2, c2 in right:
+                    e, c = tuple(map(add, e1, e2)), c1 + c2
+                    cur = get(e)
+                    if cur is None or c > cur:
+                        terms[e] = c
         return TropPoly._from_ints(self.arity, m, terms)
 
     def __pow__(self, k: int) -> "TropPoly":
@@ -481,13 +488,19 @@ class Envelope:
                 (frozenset(self._at(t) for t in range(t0, t1 + 1)), None)
                 for (t0, _), (t1, _) in self._spans()
             ]
+        return [
+            (frozenset(geom.lattice_points(geom.Polygon(corners))), plane)
+            for corners, plane in zip(self._facets, self._planes())
+        ]
+
+    def _planes(self) -> list:
+        """The primitive plane (n, d) of each facet of a polygon envelope."""
         ints, m = self.f._ints, self.f._m
         out = []
         for corners in self._facets:
-            points = geom.lattice_points(geom.Polygon(corners))
             (n0, n1, n2), d = geom.plane_through([(e, ints[e]) for e in corners[:3]])
             g = gcd(n0, n1, n2 * m, d)  # the coefficients are the ints / m
-            out.append((frozenset(points), ((n0 // g, n1 // g, n2 * m // g), d // g)))
+            out.append(((n0 // g, n1 // g, n2 * m // g), d // g))
         return out
 
     @property

@@ -90,7 +90,7 @@ def plane_curve(f: TropPoly) -> PlaneCurve:
         return PlaneCurve((), (), (), tuple(lines), sub)
 
     # every monomial of a facet attains the maximum where x = (n0/n2, n1/n2)
-    vertex = [(Fraction(n[0], n[2]), Fraction(n[1], n[2])) for _cell, (n, _d) in env.cells()]
+    vertex = [(Fraction(n[0], n[2]), Fraction(n[1], n[2])) for n, _d in env._planes()]
     owner = {(u, v): i for i, cs in enumerate(env._facets) for u, v in zip(cs, cs[1:] + cs[:1])}
     edges = []
     rays = []

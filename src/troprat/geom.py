@@ -452,6 +452,20 @@ def upper_faces_2d(lifted):
     the scaled lift is (n0, n1, n2 * m), d for the given values.
     """
     m, val = _scaled(lifted)
+    if len(val) >= 30:
+        # a point strictly below the chord between its lattice neighbours
+        # p - v and p + v is strictly below the hull: on no facet, no corner
+        get = val.get
+        keep = {}
+        for p, z in val.items():
+            x, y = p
+            for dx, dy in ((1, 0), (0, 1), (1, 1), (1, -1)):
+                lo, hi = get((x - dx, y - dy)), get((x + dx, y + dy))
+                if lo is not None and hi is not None and 2 * z < lo + hi:
+                    break
+            else:
+                keep[p] = z
+        val = keep
     hull = hull2(val)
     if hull.dim != 2:
         raise ValueError("upper_faces_2d needs a full-dimensional projection")
@@ -471,35 +485,55 @@ def upper_faces_2d(lifted):
             queue.append((on_edge[t0], on_edge[t1]))
 
     # a queued edge (a, b) is a ccw corner edge of the facet on its left, as
-    # adjacent facets share the corners of their common edge: skip known ones
+    # adjacent facets share the corners of their common edge: skip known ones,
+    # and scan from each edge once, so the wrap ends even on misordered corners
     known = set()
     facets = []
     planes = []
     vertices = []
     while queue:
-        a, b = queue.popleft()
-        if (a, b) in known:
+        edge = a, b = queue.popleft()
+        if edge in known:
             continue
+        known.add(edge)
         (ax, ay), az = a, val[a]
         ux, uy, uz = b[0] - ax, b[1] - ay, val[b] - az
-        # n = u x w for the best r so far (w = r - a); r beats it when n . w > 0.
+        # n = u x w for the best r so far (w = r - a); r beats it when n . w > 0,
+        # and every point left of a -> b seen before is then strictly below it.
         # n_z > 0 for every r left of a -> b, so n2 stays 0 only if there is none
         n0 = n1 = n2 = 0
-        for (rx, ry), rz in val.items():
-            wx, wy = rx - ax, ry - ay
+        on = []  # the points left of a -> b on the best plane so far
+        line = []  # the points on the line through a and b, a and b included
+        for r, rz in val.items():
+            wx, wy = r[0] - ax, r[1] - ay
             nz = ux * wy - uy * wx
             if nz <= 0:
+                if nz == 0:
+                    line.append(r)
                 continue
             wz = rz - az
-            if n2 == 0 or n0 * wx + n1 * wy + n2 * wz > 0:
-                n0, n1, n2 = uy * wz - uz * wy, uz * wx - ux * wz, nz
+            if n2:
+                s = n0 * wx + n1 * wy + n2 * wz
+                if s < 0:
+                    continue
+                if s == 0:
+                    on.append(r)
+                    continue
+            n0, n1, n2 = uy * wz - uz * wy, uz * wx - ux * wz, nz
+            on = [r]
         if n2 == 0:
             continue
         d = n0 * ax + n1 * ay + n2 * az
-        facet = frozenset(p for p, z in val.items() if n0 * p[0] + n1 * p[1] + n2 * z == d)
+        on += [p for p in line if n0 * p[0] + n1 * p[1] + n2 * val[p] == d]
+        facet = frozenset(on)
         facets.append(facet)
         planes.append(((n0, n1, n2 * m), d))
-        corners = hull2(facet).vertices
+        if len(facet) == 3:  # a, b and the one point r left of a -> b: ccw
+            corners = (a, b, on[0])
+            k = corners.index(min(corners))
+            corners = corners[k:] + corners[:k]
+        else:
+            corners = hull2(facet).vertices
         vertices.append(corners)
         for u, v in zip(corners, corners[1:] + corners[:1]):
             known.add((u, v))

@@ -157,7 +157,9 @@ class _Parser:
             elif kind not in _FACTOR_START:
                 break
         if out is None:
-            return TropPoly.monomial(exponent, coeff)
+            # a reduced Fraction and a list of ints: nothing left to validate
+            term = {tuple(exponent): coeff.numerator}
+            return TropPoly._from_ints(self.arity, coeff.denominator, term)
         return out.shift(exponent).scale(coeff)
 
     def split_vars(self, t: Token) -> list[int]:

@@ -74,6 +74,26 @@ def test_sparse_supports_with_holes(lifted):
     _same_hull(lifted)
 
 
+def dense_grids():
+    """Grids of 6 x 6 to 11 x 11 lattice points with up to 6 of them left out:
+    at least 30 points, the size at which `upper_faces_2d` drops the points
+    below a lattice chord."""
+
+    def holed(wh):
+        grid = [(x, y) for x in range(wh[0] + 1) for y in range(wh[1] + 1)]
+        holes = st.sets(st.sampled_from(grid), max_size=6)
+        return holes.map(lambda hs: [p for p in grid if p not in hs])
+
+    return st.tuples(st.integers(5, 10), st.integers(5, 10)).flatmap(holed)
+
+
+@HULL
+@given(dense_grids().flatmap(lambda ps: with_values(ps, st.integers(-2, 2))))
+def test_dense_grids_with_tied_lifts(lifted):
+    # small lifts make ties, chords, points on facet edges and 3-point facets
+    _same_hull(lifted)
+
+
 @HULL
 @given(
     st.integers(2, 8),
