@@ -432,7 +432,7 @@ class Envelope:
         if f.arity == 2 and len(terms) > 1:
             a, b = islice(terms, 2)
             if any(geom._cross(a, b, p) for p in terms):  # a polygon
-                _facets, _planes, corners = geom.upper_faces_2d(terms.items())
+                corners, _planes = geom.upper_faces_2d(terms)
                 own = {e: e for e in terms}
                 self._facets = tuple(tuple(own[p] for p in cs) for cs in corners)
                 self._corners = tuple(sorted({e for cs in self._facets for e in cs}))
@@ -466,8 +466,10 @@ class Envelope:
         return [(self._t(e), self.f._ints[e]) for e in self._corners]
 
     def _spans(self) -> list:
-        """Consecutive corner pairs of a chain; a single point pairs with itself."""
+        """Consecutive corner pairs of a chain; a single point pairs with itself.
+        More than `geom.MAX_LATTICE_POINTS` lattice points raise PolygonTooLarge."""
         hull = self._hull()
+        geom.check_lattice_count(hull[-1][0] - hull[0][0] + 1)
         return list(zip(hull, hull[1:])) or [(hull[0], hull[0])]
 
     @property
@@ -498,7 +500,7 @@ class Envelope:
         ints, m = self.f._ints, self.f._m
         out = []
         for corners in self._facets:
-            (n0, n1, n2), d = geom.plane_through([(e, ints[e]) for e in corners[:3]])
+            (n0, n1, n2), d = geom.plane_through(*((*e, ints[e]) for e in corners[:3]))
             g = gcd(n0, n1, n2 * m, d)  # the coefficients are the ints / m
             out.append(((n0 // g, n1 // g, n2 * m // g), d // g))
         return out

@@ -18,6 +18,8 @@ from .errors import NonLatticePolygon, PolygonTooLarge
 
 Point2 = tuple  # (x, y) with int or Fraction entries
 
+MAX_LATTICE_POINTS = 200_000  # the most lattice points one enumeration lists
+
 
 def _cross(o, a, b):
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
@@ -138,12 +140,27 @@ def _column_bounds(chain, rounding):
     return out
 
 
+def check_lattice_count(count: int):
+    """Refuse to enumerate more than MAX_LATTICE_POINTS lattice points."""
+    if count > MAX_LATTICE_POINTS:
+        raise PolygonTooLarge(f"{count} lattice points exceed the bound {MAX_LATTICE_POINTS}")
+
+
 def lattice_points(P: Polygon):
-    """All integer points of a lattice polygon, sorted, one column at a time."""
+    """All integer points of a lattice polygon, sorted, one column at a time.
+    They are counted first, by Pick's formula when the bounding box is larger
+    than the bound, and more than MAX_LATTICE_POINTS raise PolygonTooLarge."""
     _require_lattice(P)
     vs = [(int(x), int(y)) for x, y in P.vertices]
     k = vs.index(max(vs))
     (x0, y0), (x1, y1) = vs[0], vs[k]
+    ys = [y for _x, y in vs]
+    if (x1 - x0 + 1) * (max(ys) - min(ys) + 1) > MAX_LATTICE_POINTS:
+        # points = area + boundary points / 2 + 1, also for a point or segment
+        ring = list(zip(vs, vs[1:] + vs[:1]))
+        twice = sum(ax * by - bx * ay for (ax, ay), (bx, by) in ring)
+        boundary = sum(gcd(bx - ax, by - ay) for (ax, ay), (bx, by) in ring)
+        check_lattice_count((twice + boundary) // 2 + 1)
     if x0 == x1:  # a point or a vertical segment
         return [(x0, y) for y in range(y0, y1 + 1)]
     # ccw from the lex-min vertex the lower chain runs to the lex-max one, and
@@ -415,43 +432,24 @@ def upper_envelope_1d(pairs):
     return hull
 
 
-def _scaled(lifted):
-    """(m, {(x, y): m * value}) for the lcm m of the values' denominators."""
-    m = lcm(*(c.denominator for _p, c in lifted))
-    return m, {(p[0], p[1]): c.numerator * (m // c.denominator) for p, c in lifted}
-
-
-def plane_through(lifted):
-    """The plane (n, d) in ints, n_z > 0, through three ((x, y), value)
-    points whose projections are not collinear."""
-    m, val = _scaled(lifted)
-    A, B, R = ((x, y, v) for (x, y), v in val.items())
+def plane_through(A, B, R):
+    """The plane (n, d) in ints, n_z > 0, through three int (x, y, z) points
+    whose projections are not collinear."""
     n = _cross3(_sub3(B, A), _sub3(R, A))
     if n[2] < 0:
         n = tuple(-x for x in n)
-    return (n[0], n[1], n[2] * m), _dot3(n, A)
+    return n, _dot3(n, A)
 
 
-def _collinear_between(a, b, p) -> bool:
-    if _cross(a, b, p) != 0:
-        return False
-    lo, hi = min(a, b), max(a, b)
-    return lo <= p <= hi
-
-
-def upper_faces_2d(lifted):
+def upper_faces_2d(val):
     """Facets of the upper hull of lifted plane points, by gift wrapping.
 
-    `lifted` is a sequence of ((x, y), value) pairs with a full-dimensional
-    projection.  Returns (facets, planes, corners): parallel lists where each
-    facet is the frozenset of input points lying on the corresponding upper
-    plane, each plane is (n, d) in ints with n . (x, y, value) = d on its
-    facet, and the corners are the facet's vertices as `hull2` orders them.
-    The wrapping runs on the values times the lcm m of their denominators: m
-    is positive, so the facets are the same, and a plane (n0, n1, n2), d of
-    the scaled lift is (n0, n1, n2 * m), d for the given values.
+    `val` maps each point (x, y) to its int lift and has a full-dimensional
+    projection; it is read, never changed.  Returns (corners, planes), one
+    entry per facet in the order found: the facet's vertices as `hull2`
+    orders them, and its plane (n, d) in ints, n_z > 0, with n . (x, y, lift)
+    = d on the facet and < d below it.
     """
-    m, val = _scaled(lifted)
     if len(val) >= 30:
         # a point strictly below the chord between its lattice neighbours
         # p - v and p + v is strictly below the hull: on no facet, no corner
@@ -470,19 +468,18 @@ def upper_faces_2d(lifted):
     if hull.dim != 2:
         raise ValueError("upper_faces_2d needs a full-dimensional projection")
 
-    # seed with the upper-hull edges of every boundary face: the 1-d envelope
-    # of the lifts along each hull edge (interior lattice points may be lifted
-    # below the envelope and must not produce seeds)
-    queue = deque()
-    for a, b in hull.edges():
-        on_edge = {}
-        for p in val:
-            if _collinear_between(a, b, p):
-                t = (p[0] - a[0]) * (b[0] - a[0]) + (p[1] - a[1]) * (b[1] - a[1])
-                on_edge[t] = p
-        chain = upper_envelope_1d((t, val[p]) for t, p in on_edge.items())
-        for (t0, _), (t1, _) in zip(chain, chain[1:]):
-            queue.append((on_edge[t0], on_edge[t1]))
+    # seed with one ccw corner edge: the first piece of the 1-d envelope of
+    # the lifts along the first hull edge (a, b), which bounds the facet on
+    # its left; every other facet is reached across a shared edge.  The line
+    # of a hull edge meets the points only on that edge
+    a, b = hull.vertices[:2]
+    along = {
+        (p[0] - a[0]) * (b[0] - a[0]) + (p[1] - a[1]) * (b[1] - a[1]): p
+        for p in val
+        if _cross(a, b, p) == 0
+    }
+    t1 = upper_envelope_1d((t, val[p]) for t, p in along.items())[1][0]
+    queue = deque([(a, along[t1])])
 
     # a queued edge (a, b) is a ccw corner edge of the facet on its left, as
     # adjacent facets share the corners of their common edge: skip known ones,
@@ -490,7 +487,6 @@ def upper_faces_2d(lifted):
     known = set()
     facets = []
     planes = []
-    vertices = []
     while queue:
         edge = a, b = queue.popleft()
         if edge in known:
@@ -525,19 +521,15 @@ def upper_faces_2d(lifted):
             continue
         d = n0 * ax + n1 * ay + n2 * az
         on += [p for p in line if n0 * p[0] + n1 * p[1] + n2 * val[p] == d]
-        facet = frozenset(on)
-        facets.append(facet)
-        planes.append(((n0, n1, n2 * m), d))
-        if len(facet) == 3:  # a, b and the one point r left of a -> b: ccw
+        planes.append(((n0, n1, n2), d))
+        if len(on) == 3:  # a, b and the one point r left of a -> b: ccw
             corners = (a, b, on[0])
             k = corners.index(min(corners))
             corners = corners[k:] + corners[:k]
         else:
-            corners = hull2(facet).vertices
-        vertices.append(corners)
+            corners = hull2(on).vertices
+        facets.append(corners)
         for u, v in zip(corners, corners[1:] + corners[:1]):
             known.add((u, v))
             queue.append((v, u))
-
-    order = sorted(range(len(facets)), key=lambda i: tuple(sorted(facets[i])))
-    return tuple([out[i] for i in order] for out in (facets, planes, vertices))
+    return facets, planes

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -69,6 +70,13 @@ def rand_poly(
         c = rng.randint(-coeff_span, coeff_span) if integer_coeffs else rand_fraction(rng, coeff_span)
         terms[e] = max(terms.get(e, c), c)
     return TropPoly(arity, terms)
+
+
+def cleared_lifts(lifted) -> dict:
+    """((x, y), value) pairs as {(x, y): int} over the lcm of the values'
+    denominators, as `TropPoly` keeps its terms."""
+    m = lcm(*(Fraction(c).denominator for _p, c in lifted))
+    return {p: int(c * m) for p, c in lifted}
 
 
 def rand_lattice_polygon(rng: random.Random, box: int = 4, points: int = 6):

@@ -9,7 +9,8 @@ candidate point against every edge, a summand search that tries every pick
 of the product of the edge lengths, a plane curve whose 1-cells come
 from re-hulling every 2-cell of the subdivision, and weighted intervals
 refined at every endpoint, summed per interval and merged.  The tests require the
-library to return exactly what these return, and Pick's formula, counted on
+library to return what these return (the hull's facets as their corners and
+planes, in any order), and Pick's formula, counted on
 the bounding-box scan, to agree with `geom.area2`.  They live apart from
 `oracles.py`, which the benchmark's correctness checks import.
 """
@@ -69,8 +70,9 @@ def _collinear_between(a, b, p) -> bool:
 
 
 def upper_faces_2d(lifted):
-    """(facets, planes, corners) of the upper hull, as `geom.upper_faces_2d`
-    returns them."""
+    """(facets, planes, corners) of the upper hull, sorted by facet: each
+    facet's points, its plane as `geom.upper_faces_2d` gives it for int
+    lifts, and its corners as `hull2` orders them."""
     m = lcm(*(c.denominator for _p, c in lifted))
     val = {(p[0], p[1]): c.numerator * (m // c.denominator) for p, c in lifted}
     pts = list(val)

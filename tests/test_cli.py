@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
+import pytest
+
+import troprat
 from troprat import (
     curve_to_divisor,
     divisor_sub,
@@ -12,6 +18,17 @@ from troprat import (
 from troprat import cli
 from troprat.cli import main
 from conftest import UNIQUE_MIN_DEN, UNIQUE_MIN_NUM, p1, p2
+
+HUGE = "99999999999999999999"
+
+# a child process capped at 2 GB of address space, so that an input which
+# allocates without bound fails its test instead of the test run
+CAPPED_MAIN = (
+    "import resource, sys\n"
+    "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+    "from troprat.cli import main\n"
+    "sys.exit(main(sys.argv[1:]))\n"
+)
 
 
 def run(capsys, *argv):
@@ -176,6 +193,28 @@ class TestDeterminismAndErrors:
         )
         assert code == 2 and not out
         assert err == f"error: --count must be at most {cli.MAX_DUALITY_COUNT}, got 1000000\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("newt", "--poly", f"x^{HUGE}+y^{HUGE}+0"),
+            ("curve", "--poly", f"x^{HUGE}+y+0"),
+            ("subdiv", "--poly", f"x^{HUGE}+0"),
+            ("divide", "--num", f"x^{HUGE}+y+0", "--den", "y+0"),
+        ],
+        ids=["newt", "curve", "subdiv", "divide"],
+    )
+    def test_huge_polygons_exit_within_a_budget(self, argv):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(troprat.__file__)))
+        try:
+            done = subprocess.run(
+                [sys.executable, "-c", CAPPED_MAIN, *argv],
+                capture_output=True, text=True, env=env, timeout=10,
+            )
+        except subprocess.TimeoutExpired:
+            pytest.fail(f"{argv[0]} still running after 10 s")
+        assert done.returncode == 2 and not done.stdout
+        assert done.stderr.startswith("error: "), done.stderr[-500:]
 
 
 def _svg_root(text: str):

@@ -48,7 +48,7 @@ def _oracle_cells(f):
     """Cells from a fresh hull of every lattice point of the canonical form."""
     fc = canonicalize(f)
     if f.arity == 2 and geom.hull2(fc.support).dim == 2:
-        facets, _planes, _corners = geom.upper_faces_2d(fc.items())
+        facets, _planes, _corners = hull_oracles.upper_faces_2d(fc.items())
         return sorted(facets, key=sorted)
     # a chain: the canonical support is every lattice point of a segment, and
     # lex order walks along it, so the sorted index is the lattice position

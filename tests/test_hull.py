@@ -1,11 +1,13 @@
 """The upper hull and the lattice-point scan against the reference versions in
-`hull_oracles`: equal (facets, planes) in the same order, and equal sorted
-point lists, on inputs chosen for their degeneracies."""
+`hull_oracles`: the same (corners, primitive plane) pairs on the same int
+lifts, and equal sorted point lists, on inputs chosen for their degeneracies."""
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
 import hull_oracles
+from conftest import cleared_lifts
 from troprat import TropPoly, canonicalize, geom
 
 HULL = settings(max_examples=150, deadline=None)
@@ -25,8 +27,23 @@ def with_values(points, values):
     )
 
 
+def _primitive(plane):
+    (n0, n1, n2), d = plane
+    g = gcd(n0, n1, n2, d)
+    return (n0 // g, n1 // g, n2 // g), d // g
+
+
 def _same_hull(lifted):
-    assert geom.upper_faces_2d(lifted) == hull_oracles.upper_faces_2d(lifted)
+    """The facets' corners of the drawn lifts cleared to ints, after checking
+    them and their planes against the reference on the same ints."""
+    val = cleared_lifts(lifted)
+    before = dict(val)
+    corners, planes = geom.upper_faces_2d(val)
+    assert val == before  # read, never changed
+    _facets, want_planes, want_corners = hull_oracles.upper_faces_2d(list(val.items()))
+    got = sorted(zip(corners, map(_primitive, planes)))
+    assert got == sorted(zip(want_corners, map(_primitive, want_planes)))
+    return corners
 
 
 @HULL
@@ -126,10 +143,8 @@ def test_collinear_boundary_runs(w, h, plane, bumps):
     st.builds(Fraction, st.integers(-50, 50), st.integers(1, 7)),
 )
 def test_all_equal_lifts_make_one_facet(points, value):
-    lifted = [(p, value) for p in points]
-    facets, _planes, _corners = geom.upper_faces_2d(lifted)
-    assert facets == [frozenset(points)]
-    _same_hull(lifted)
+    corners = _same_hull([(p, value) for p in points])
+    assert corners == [geom.hull2(points).vertices]
 
 
 def _same_points(P):

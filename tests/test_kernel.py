@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from troprat import TropPoly, canonicalize, geom, hypersurface_member, plane_curve, uni_roots
 from troprat.rep import _residual
+from conftest import cleared_lifts
 from oracles import max_and_hits, poly_add, poly_mul, poly_scale, poly_shift, residual
 
 BIG_DEN = 10**9
@@ -88,28 +89,37 @@ def lifted_sets():
 
 
 @KERNEL
-@given(lifted_sets(), st.builds(Fraction, st.integers(1, BIG_DEN), st.integers(1, BIG_DEN)))
+@given(lifted_sets(), st.integers(1, BIG_DEN))
 def test_facets_invariant_under_positive_scaling(lifted, r):
-    facets, _planes, _corners = geom.upper_faces_2d(lifted)
-    scaled, _, _ = geom.upper_faces_2d([(p, c * r) for p, c in lifted])
-    assert scaled == facets
+    # n . (x, y, z) = d on a facet of the lift z is (r n0, r n1, n2) . (x, y, r z)
+    # = r d on the same facet of the lift r z
+    val = cleared_lifts(lifted)
+    corners, planes = geom.upper_faces_2d(val)
+    scaled, scaled_planes = geom.upper_faces_2d({p: z * r for p, z in val.items()})
+    want = [(cs, ((r * n0, r * n1, n2), r * d)) for cs, ((n0, n1, n2), d) in zip(corners, planes)]
+    assert sorted(zip(scaled, scaled_planes)) == sorted(want)
 
 
 @KERNEL
 @given(lifted_sets())
 def test_planes_hold_for_the_given_values(lifted):
-    facets, planes, _corners = geom.upper_faces_2d(lifted)
-    value = dict(lifted)
-    for facet, (n, d) in zip(facets, planes):
+    val = cleared_lifts(lifted)
+    corners, planes = geom.upper_faces_2d(val)
+    for cs, (n, d) in zip(corners, planes):
         assert all(isinstance(x, int) for x in (*n, d)) and n[2] > 0
-        for (x, y), c in lifted:
-            h = n[0] * x + n[1] * y + n[2] * c
-            # on the plane exactly on the facet, strictly below elsewhere
-            assert (h == d) == ((x, y) in facet) and h <= d
-        assert all(Fraction(d - n[0] * x - n[1] * y, n[2]) == value[(x, y)] for x, y in facet)
-    # the facets' projections tile the projected hull
-    area = sum(geom.area2(geom.hull2(facet)) for facet in facets)
-    assert area == geom.area2(geom.hull2(value))
+        assert geom.hull2(cs).vertices == cs
+        for p, z in val.items():
+            h = n[0] * p[0] + n[1] * p[1] + n[2] * z
+            # on the plane at every corner and only inside the corners'
+            # polygon, strictly below it elsewhere
+            assert h <= d
+            if p in cs:
+                assert h == d
+            if h == d:
+                assert geom.hull2(cs + (p,)).vertices == cs
+    # the corner polygons tile the projected hull
+    area = sum(geom.area2(geom.Polygon(cs)) for cs in corners)
+    assert area == geom.area2(geom.hull2(val))
 
 
 def _matches(p, terms):
