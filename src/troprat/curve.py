@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from . import geom
 from .core import TropPoly, as_q, clear_denominators, envelope, stack_pair
@@ -56,11 +57,18 @@ class PlaneCurve:
     subdivision: Subdivision
 
 
-def _dual(u, v) -> frozenset:
-    """The lattice points of the segment [u, v]: a 1-cell of the subdivision."""
-    g = geom.lattice_length(u, v)
+def _segment(u, v) -> tuple:
+    """The lattice length of the segment [u, v], its primitive step from u,
+    and its lattice points (a 1-cell of the subdivision)."""
+    g = gcd(v[0] - u[0], v[1] - u[1])
     dx, dy = (v[0] - u[0]) // g, (v[1] - u[1]) // g
-    return frozenset((u[0] + t * dx, u[1] + t * dy) for t in range(g + 1))
+    return g, (dx, dy), frozenset((u[0] + t * dx, u[1] + t * dy) for t in range(g + 1))
+
+
+def _step(dual) -> tuple:
+    """The primitive step along a dual segment from its lex-least point."""
+    (x0, y0), (x1, y1) = min(dual), max(dual)
+    return geom.primitive((x1 - x0, y1 - y0))
 
 
 def plane_curve(f: TropPoly) -> PlaneCurve:
@@ -84,38 +92,50 @@ def plane_curve(f: TropPoly) -> PlaneCurve:
         for p, q in zip(env._corners, env._corners[1:]):
             n = (p[0] - q[0], p[1] - q[1])  # tie: n . x = c_q - c_p
             base = _line_anchor((n, coeff[q] - coeff[p]))
-            d = geom.primitive((-n[1], n[0]))
-            lines.append(CurveLine(base, d, geom.lattice_length(p, q), _dual(p, q)))
+            w, (dx, dy), dual = _segment(p, q)
+            lines.append(CurveLine(base, (dy, -dx), w, dual))
         lines.sort(key=lambda L: (L.direction, L.base))
         return PlaneCurve((), (), (), tuple(lines), sub)
 
-    # every monomial of a facet attains the maximum where x = (n0/n2, n1/n2)
-    vertex = [(Fraction(n[0], n[2]), Fraction(n[1], n[2])) for n, _d in env._planes()]
+    # every monomial of a facet attains the maximum where x = (n0/n2, n1/n2);
+    # the ints (n0, n1) over the lcm of the n2 (all > 0) sort as x does
+    planes = env._planes()
+    den = lcm(*(n[2] for n, _d in planes))
+    key = [(n[0] * (den // n[2]), n[1] * (den // n[2])) for n, _d in planes]
+    vertex = [(Fraction(n[0], n[2]), Fraction(n[1], n[2])) for n, _d in planes]
     owner = {(u, v): i for i, cs in enumerate(env._facets) for u, v in zip(cs, cs[1:] + cs[:1])}
     edges = []
     rays = []
     for (u, v), i in owner.items():
         j = owner.get((v, u))
+        if j is not None and j < i:  # the edge (v, u) of facet j
+            continue
+        w, (dx, dy), dual = _segment(u, v)
         if j is None:  # on the boundary of Newt(f): a ray along the outward normal
-            n = geom.primitive((v[1] - u[1], u[0] - v[0]))
-            rays.append(CurveRay(vertex[i], n, geom.lattice_length(u, v), _dual(u, v)))
-        elif i < j:
-            a, b = sorted((vertex[i], vertex[j]))
-            edges.append(CurveEdge(a, b, geom.lattice_length(u, v), _dual(u, v)))
-    edges.sort(key=lambda e: (e.a, e.b))
-    rays.sort(key=lambda r: (r.direction, r.base))
-    return PlaneCurve(tuple(sorted(vertex)), tuple(edges), tuple(rays), (), sub)
+            rays.append(((dy, -dx), key[i], CurveRay(vertex[i], (dy, -dx), w, dual)))
+        else:
+            i, j = sorted((i, j), key=key.__getitem__)
+            edges.append((key[i], key[j], CurveEdge(vertex[i], vertex[j], w, dual)))
+    edges.sort(key=lambda e: e[:2])
+    rays.sort(key=lambda r: r[:2])
+    vertices = tuple(vertex[i] for i in sorted(range(len(key)), key=key.__getitem__))
+    return PlaneCurve(vertices, tuple(e[2] for e in edges), tuple(r[2] for r in rays), (), sub)
 
 
 def balancing_check(C: PlaneCurve) -> bool:
-    """Weighted primitive directions around every vertex sum to zero."""
+    """Weighted primitive directions around every vertex sum to zero.  An
+    edge runs along its dual segment's step turned a quarter, from a to b."""
     sums = {v: [0, 0] for v in C.vertices}
     def bump(v, d, w):
-        if v in sums:
-            sums[v][0] += w * d[0]
-            sums[v][1] += w * d[1]
+        s = sums.get(v)  # one lookup: a vertex hashes two Fractions
+        if s is not None:
+            s[0] += w * d[0]
+            s[1] += w * d[1]
     for e in C.edges:
-        d = geom.primitive_of_rational(e.b[0] - e.a[0], e.b[1] - e.a[1])
+        dx, dy = _step(e.dual)
+        d = (-dy, dx)
+        if (d > (0, 0)) != (e.a < e.b):  # b - a is lex-positive exactly when a < b
+            d = (dy, -dx)
         bump(e.a, d, e.weight)
         bump(e.b, (-d[0], -d[1]), e.weight)
     for r in C.rays:
@@ -140,14 +160,20 @@ def recession_fan(f: TropPoly) -> PlaneCurve:
 # divisors: integer-weighted sums of segments, rays and lines
 
 
-def _line_key(point, direction):
-    """Canonical (normal, offset) for the line through `point` along
-    `direction`; the canonical direction along the line is rot90(normal)."""
-    n = geom.primitive_of_rational(-direction[1], direction[0])
+def _dot(v, point, k=1) -> Fraction:
+    """v . point / k for int v and k and a rational point, as one Fraction
+    built from the point's numerators and denominators."""
+    x, y = point
+    xd, yd = x.denominator, y.denominator
+    return Fraction(v[0] * x.numerator * yd + v[1] * y.numerator * xd, xd * yd * k)
+
+
+def _line_key(point, n):
+    """Canonical (normal, offset) for the line through `point` normal to the
+    primitive int vector +-n; the direction along the line is rot90(normal)."""
     if n[0] < 0 or (n[0] == 0 and n[1] < 0):
         n = (-n[0], -n[1])
-    c = n[0] * Fraction(point[0]) + n[1] * Fraction(point[1])
-    return n, c
+    return n, _dot(n, point)
 
 
 def _line_direction(n):
@@ -162,8 +188,7 @@ def _line_anchor(key):
 
 def _param(key, point):
     d = _line_direction(key[0])
-    dd = d[0] * d[0] + d[1] * d[1]
-    return Fraction(d[0] * Fraction(point[0]) + d[1] * Fraction(point[1]), dd)
+    return _dot(d, point, d[0] * d[0] + d[1] * d[1])
 
 
 def _point_at(key, t):
@@ -187,11 +212,11 @@ def _canonical_pieces(raw):
             jumps[hi] = jumps.get(hi, 0) - pw
     out = []
     start = None
-    for t in sorted(jumps):
-        if jumps[t]:
+    for t, jump in sorted(jumps.items()):
+        if jump:
             if w:
                 out.append((start, t, w))
-            start, w = t, w + jumps[t]
+            start, w = t, w + jump
     if w:
         out.append((start, None, w))
     return out
@@ -254,10 +279,11 @@ class Divisor:
         return w if lo_ok and hi_ok else None
 
     def weight_on_ray(self, base, direction) -> int | None:
-        key = _line_key(base, direction)
+        """The weight on the ray from `base` along the int vector `direction`."""
+        direction = geom.primitive(direction)
+        key = _line_key(base, (-direction[1], direction[0]))
         t = _param(key, base)
-        d = _line_direction(key[0])
-        forward = geom.primitive_of_rational(*direction) == d
+        forward = direction == _line_direction(key[0])
         return self._weight_on(key, t, None) if forward else self._weight_on(key, None, t)
 
     def pieces(self):
@@ -280,20 +306,22 @@ class Divisor:
 
 
 def curve_to_divisor(C: PlaneCurve) -> Divisor:
+    """The line of an edge has its dual segment's step as normal; a ray's or
+    a line's direction is already a primitive int vector."""
     raw = []
     for e in C.edges:
-        key = _line_key(e.a, (e.b[0] - e.a[0], e.b[1] - e.a[1]))
+        key = _line_key(e.a, _step(e.dual))
         t0, t1 = sorted((_param(key, e.a), _param(key, e.b)))
         raw.append((key, t0, t1, e.weight))
     for r in C.rays:
-        key = _line_key(r.base, r.direction)
+        key = _line_key(r.base, (-r.direction[1], r.direction[0]))
         t = _param(key, r.base)
-        if geom.primitive_of_rational(*r.direction) == _line_direction(key[0]):
+        if r.direction == _line_direction(key[0]):
             raw.append((key, t, None, r.weight))
         else:
             raw.append((key, None, t, r.weight))
     for L in C.lines:
-        key = _line_key(L.base, L.direction)
+        key = _line_key(L.base, (-L.direction[1], L.direction[0]))
         raw.append((key, None, None, L.weight))
     return Divisor.from_raw(raw)
 

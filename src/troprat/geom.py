@@ -117,13 +117,6 @@ def primitive(v):
     return (x // g, y // g)
 
 
-def primitive_of_rational(dx, dy):
-    """Primitive integer direction of a rational vector."""
-    fx, fy = Fraction(dx), Fraction(dy)
-    m = lcm(fx.denominator, fy.denominator)
-    return primitive((int(fx * m), int(fy * m)))
-
-
 def _require_lattice(P: Polygon):
     if not P.is_lattice:
         raise NonLatticePolygon(f"not a lattice polygon: {P.vertices}")

@@ -116,7 +116,7 @@ class _Parser:
     def term(self) -> TropPoly:
         """A product of factors: numbers and variables add up to one exponent
         and one coefficient; only parenthesised sums are multiplied."""
-        exponent, coeff, out = [0] * self.arity, Fraction(0), None
+        exponent, p, q, out = [0] * self.arity, 0, 1, None  # coefficient p / q, q > 0
         while True:
             t = self.peek()
             self.i += 1
@@ -126,23 +126,27 @@ class _Parser:
                 for k in names[:-1]:
                     exponent[k] += 1
                 exponent[names[-1]] += self.power()
-            elif t.kind == NUMBER:
-                coeff += Fraction(t.lexeme) * self.power()
+            elif t.kind == NUMBER:  # a decimal goes through Fraction
+                a, b = (Fraction if "." in t.lexeme else int)(t.lexeme).as_integer_ratio()
+                p, q = p * b + a * self.power() * q, q * b
             elif t.kind == LPAREN and self.kinds[self.i : self.i + 4] == _RATIONAL:
                 num, _, den, _ = self.toks[self.i : self.i + 4]
                 self.i += 4
                 if "." in num.lexeme or "." in den.lexeme:
                     raise ParseError("rational literal parts must be integers", num.position)
-                coeff += Fraction(int(num.lexeme), int(den.lexeme)) * self.power()
+                a, b = int(num.lexeme), int(den.lexeme)
+                if b <= 0:  # signed as Fraction signs it; b = 0 raises its ZeroDivisionError
+                    a, b = Fraction(a, b).as_integer_ratio()
+                p, q = p * b + a * self.power() * q, q * b
             elif t.kind == LPAREN:
-                p = self.poly()
+                g = self.poly()
                 self.take(RPAREN)
                 k = self.power()
                 try:
-                    p = p**k
+                    g = g**k
                 except TropError as exc:
                     raise ParseError(str(exc), t.position) from None
-                out = p if out is None else out * p
+                out = g if out is None else out * g
             elif t.kind == MINUS_INF:
                 raise ParseError("'-inf' is only valid as the whole input", t.position)
             elif t.kind == SLASH:
@@ -156,11 +160,9 @@ class _Parser:
                 self.i += 1
             elif kind not in _FACTOR_START:
                 break
-        if out is None:
-            # a reduced Fraction and a list of ints: nothing left to validate
-            term = {tuple(exponent): coeff.numerator}
-            return TropPoly._from_ints(self.arity, coeff.denominator, term)
-        return out.shift(exponent).scale(coeff)
+        if out is None:  # ints only: nothing left to validate
+            return TropPoly._from_ints(self.arity, q, {tuple(exponent): p})
+        return out.shift(exponent).scale(Fraction(p, q))
 
     def split_vars(self, t: Token) -> list[int]:
         """The declared variable indices of a juxtaposed identifier like "xy"."""

@@ -47,4 +47,30 @@ MUTATIONS = [
         tests=["tests/test_hull.py::test_dense_grids_with_tied_lifts"],
         recorded="chord-filtered one-scan upper hull",
     ),
+    dict(
+        id="divisor-normal-unsigned",
+        path="src/troprat/curve.py",
+        old="    if n[0] < 0 or (n[0] == 0 and n[1] < 0):\n        n = (-n[0], -n[1])\n",
+        new="",
+        tests=["tests/test_fraction_reference.py::test_curve_pieces_match_the_reference"],
+        recorded="parser terms and plane-curve pieces in ints",
+    ),
+    dict(
+        id="balancing-edge-unoriented",
+        path="src/troprat/curve.py",
+        old="        if (d > (0, 0)) != (e.a < e.b):",
+        new="        if False:",
+        tests=["tests/test_fraction_reference.py::test_curve_pieces_match_the_reference"],
+        recorded="parser terms and plane-curve pieces in ints",
+    ),
+    dict(
+        id="parse-number-power-ignored",
+        path="src/troprat/parse.py",
+        old="(t.lexeme).as_integer_ratio()\n"
+        "                p, q = p * b + a * self.power() * q, q * b\n",
+        new="(t.lexeme).as_integer_ratio()\n"
+        "                p, q = p * b + a * q + 0 * self.power(), q * b\n",
+        tests=["tests/test_fraction_reference.py::test_terms_match_the_fraction_reference"],
+        recorded="parser terms and plane-curve pieces in ints",
+    ),
 ]

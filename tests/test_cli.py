@@ -156,6 +156,17 @@ class TestDeterminismAndErrors:
         code, out, err = run(capsys, "eval", "--poly", "x + ", "--at", "3")
         assert code == 2 and "offset" in err and not out
 
+    def test_zero_denominator_message(self, capsys):
+        # The `cli` benchmark golden digests this exit code and stderr.  Aim 3
+        # wants a positioned ParseError here instead; that change has to
+        # recapture the golden in a change to the benchmark.
+        with pytest.raises(ZeroDivisionError) as err:
+            troprat.parse_poly("x*y + (1/0) + y", ("x", "y"))
+        assert str(err.value) == "Fraction(1, 0)"
+        assert run(capsys, "curve", "--poly", "x*y + (1/0) + y") == (
+            2, "", "error: Fraction(1, 0)\n"
+        )
+
     def test_validation_error_exit_code(self, capsys):
         code, _out, err = run(capsys, "curve", "--poly", "3*x^2*y")
         assert code == 2 and err
