@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 
 from . import rep, svg
-from .core import TropRational, as_q
+from .core import TropRational, as_q, newton_polygon, newton_range
 from .curve import (
     Divisor,
     curve_to_divisor,
@@ -23,7 +23,7 @@ from .curve import (
     plane_curve,
 )
 from .errors import ParseError, TropError
-from .geom import hull2, lattice_points
+from .geom import lattice_points
 from .parse import DEFAULT_VARS, format_poly, parse_poly
 from .subdiv import dual_subdivision, mcomp
 
@@ -145,13 +145,11 @@ def _cmd_eval(args) -> str:
 def _cmd_newt(args) -> str:
     vars = _vars_of(args, args.poly)
     f = parse_poly(args.poly, vars)
-    if f.is_bottom:
-        raise TropError("the -inf polynomial has no Newton polytope")
-    if len(vars) == 1:
-        exps = [e[0] for e in f.support]
-        result = {"min": min(exps), "max": max(exps)}
+    if f.arity == 1:
+        lo, hi = newton_range(f)
+        result = {"min": lo, "max": hi}
     else:
-        newt = hull2(f.support)
+        newt = newton_polygon(f)
         result = {
             "vertices": [list(v) for v in newt.vertices],
             "lattice_points": [list(p) for p in lattice_points(newt)],
@@ -381,13 +379,18 @@ _VALUE_FLAGS = {
 
 def _merge_values(argv):
     """Join value flags with their argument so values like "-inf" survive
-    argparse's option detection."""
+    argparse's option detection.  A value "--", given apart or joined, is
+    passed apart: argparse strips it from a joined value, which leaves an
+    empty list, and apart it leaves the flag without a value."""
     out = []
     i = 0
     while i < len(argv):
-        if argv[i] in _VALUE_FLAGS and i + 1 < len(argv):
+        if argv[i] in _VALUE_FLAGS and i + 1 < len(argv) and argv[i + 1] != "--":
             out.append(f"{argv[i]}={argv[i + 1]}")
             i += 2
+        elif argv[i].endswith("=--") and argv[i][:-3] in _VALUE_FLAGS:
+            out += [argv[i][:-3], "--"]
+            i += 1
         else:
             out.append(argv[i])
             i += 1

@@ -10,7 +10,6 @@ from math import gcd, lcm
 from . import geom
 from .core import TropPoly, as_q, clear_denominators, envelope, stack_pair
 from .errors import DegenerateInput, DimensionMismatch, TropError
-from .subdiv import Subdivision, dual_subdivision
 
 
 def hypersurface_member(f: TropPoly, point) -> bool:
@@ -48,19 +47,20 @@ class CurveLine:
 
 @dataclass(frozen=True)
 class PlaneCurve:
-    """A weighted tropical plane curve with its dual subdivision attached."""
+    """A weighted tropical plane curve; each piece carries its dual segment."""
 
     vertices: tuple
     edges: tuple
     rays: tuple
     lines: tuple
-    subdivision: Subdivision
 
 
 def _segment(u, v) -> tuple:
     """The lattice length of the segment [u, v], its primitive step from u,
-    and its lattice points (a 1-cell of the subdivision)."""
+    and its lattice points (a 1-cell of the subdivision).  More than
+    `geom.MAX_LATTICE_POINTS` points raise PolygonTooLarge."""
     g = gcd(v[0] - u[0], v[1] - u[1])
+    geom.check_lattice_count(g + 1)
     dx, dy = (v[0] - u[0]) // g, (v[1] - u[1]) // g
     return g, (dx, dy), frozenset((u[0] + t * dx, u[1] + t * dy) for t in range(g + 1))
 
@@ -84,7 +84,6 @@ def plane_curve(f: TropPoly) -> PlaneCurve:
     if f.is_unit:
         raise DegenerateInput("a monomial defines an empty hypersurface")
     env = envelope(f)
-    sub = dual_subdivision(f)
 
     if env.chain is not None:
         coeff = env.vertices  # consecutive corners bound each linear piece
@@ -95,7 +94,7 @@ def plane_curve(f: TropPoly) -> PlaneCurve:
             w, (dx, dy), dual = _segment(p, q)
             lines.append(CurveLine(base, (dy, -dx), w, dual))
         lines.sort(key=lambda L: (L.direction, L.base))
-        return PlaneCurve((), (), (), tuple(lines), sub)
+        return PlaneCurve((), (), (), tuple(lines))
 
     # every monomial of a facet attains the maximum where x = (n0/n2, n1/n2);
     # the ints (n0, n1) over the lcm of the n2 (all > 0) sort as x does
@@ -119,7 +118,7 @@ def plane_curve(f: TropPoly) -> PlaneCurve:
     edges.sort(key=lambda e: e[:2])
     rays.sort(key=lambda r: r[:2])
     vertices = tuple(vertex[i] for i in sorted(range(len(key)), key=key.__getitem__))
-    return PlaneCurve(vertices, tuple(e[2] for e in edges), tuple(r[2] for r in rays), (), sub)
+    return PlaneCurve(vertices, tuple(e[2] for e in edges), tuple(r[2] for r in rays), ())
 
 
 def balancing_check(C: PlaneCurve) -> bool:

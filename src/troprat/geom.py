@@ -19,6 +19,7 @@ from .errors import NonLatticePolygon, PolygonTooLarge
 Point2 = tuple  # (x, y) with int or Fraction entries
 
 MAX_LATTICE_POINTS = 200_000  # the most lattice points one enumeration lists
+MAX_EDGE_SUM = 24  # the largest edge-length sum whose summands are searched
 
 
 def _cross(o, a, b):
@@ -327,11 +328,11 @@ def _edge_multiset(P: Polygon):
 
 
 def _polygon_from_edges(edges) -> Polygon:
-    moves = [(d, c) for d, c in edges if c > 0]
-    moves.sort(key=cmp_to_key(lambda A, B: _angle_cmp(A[0], B[0])))
+    """The polygon walked along (direction, length) edges in the order given,
+    a rotation of their ccw angle order, as `_edge_multiset` yields them."""
     cur = (0, 0)
     pts = [cur]
-    for d, c in moves:
+    for d, c in edges:
         cur = (cur[0] + d[0] * c, cur[1] + d[1] * c)
         pts.append(cur)
     return hull2(pts)
@@ -373,7 +374,7 @@ def _zero_sum_picks(edges):
     return walk(0, 0, 0, True)
 
 
-def summand_decompositions(P: Polygon, max_edge_sum: int = 24):
+def summand_decompositions(P: Polygon):
     """All unordered pairs (Q, R) of non-point lattice summands with Q+R = P.
 
     Works on the primitive edge multiset: a summand picks t_e in [0, len_e]
@@ -386,9 +387,9 @@ def summand_decompositions(P: Polygon, max_edge_sum: int = 24):
         return ()
     edges = _edge_multiset(P)
     lens = [c for _, c in edges]
-    if sum(lens) > max_edge_sum:
+    if sum(lens) > MAX_EDGE_SUM:
         raise PolygonTooLarge(
-            f"edge multiplicity sum {sum(lens)} exceeds bound {max_edge_sum}"
+            f"edge multiplicity sum {sum(lens)} exceeds bound {MAX_EDGE_SUM}"
         )
     combos = 1
     for c in lens:

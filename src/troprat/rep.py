@@ -203,13 +203,7 @@ def try_divide(f: TropPoly, g: TropPoly) -> TropPoly | None:
 def unit_normalize(f: TropPoly) -> TropPoly:
     """Divide by a unit: shift the componentwise-minimal exponent to zero and
     the coefficient at the lex-least support point to zero."""
-    if f.is_bottom:
-        return f
-    support = f.support
-    mins = tuple(min(e[i] for e in support) for i in range(f.arity))
-    shifted = f.shift(tuple(-m for m in mins))
-    anchor = min(shifted.support)
-    return shifted.scale(-shifted.coeff(anchor))
+    return _from_unit_key(f.arity, _unit_key(f))
 
 
 def _unit_key(p: TropPoly) -> tuple:
@@ -226,6 +220,11 @@ def _unit_key(p: TropPoly) -> tuple:
         g = gcd(c, m)
         out.append((tuple(map(sub, e, mins)), (c // g, m // g)))
     return tuple(out)
+
+
+def _from_unit_key(arity: int, key: tuple) -> TropPoly:
+    """The polynomial whose terms `_unit_key` lists."""
+    return TropPoly(arity, {e: Fraction(*c) for e, c in key})
 
 
 def _splits(f: TropPoly):
@@ -310,12 +309,7 @@ def enumerate_factorizations(f: TropPoly):
         return memo[key]
 
     found = {(_unit_key(canonicalize(f)),)} | set(complete(f))
-    factorizations = []
-    for multiset in sorted(found):
-        factorizations.append(
-            tuple(TropPoly(2, {e: Fraction(*c) for e, c in keyed}) for keyed in multiset)
-        )
-    return tuple(factorizations)
+    return tuple(tuple(_from_unit_key(2, key) for key in keys) for keys in sorted(found))
 
 
 # ---------------------------------------------------------------------------

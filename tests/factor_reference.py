@@ -8,6 +8,10 @@ the splits whose product equals the input as a function, and recurse into
 both parts without a depth bound.  Each split lowers the lattice length of
 the segment by one, so the recursion ends.
 
+`unit_normalize` is `rep.unit_normalize` as first written: a shift and a
+scale through two validated polynomials, where the library now reads the
+normal form off `rep._unit_key`.
+
 `splits` is `rep._splits` as first written: three residuation rounds, each
 pair multiplied and checked with `func_eq` before its dedupe key is looked
 up, and a residual whose shift set is the intersection, over the divisor's
@@ -26,6 +30,18 @@ from troprat import geom
 from troprat.core import TropPoly, canonicalize, envelope, func_eq, newton_polygon
 from troprat.geom import lattice_length
 from troprat.rep import _unit_key
+
+
+def unit_normalize(f: TropPoly) -> TropPoly:
+    """Divide by a unit: shift the componentwise-minimal exponent to zero and
+    the coefficient at the lex-least support point to zero."""
+    if f.is_bottom:
+        return f
+    support = f.support
+    mins = tuple(min(e[i] for e in support) for i in range(f.arity))
+    shifted = f.shift(tuple(-m for m in mins))
+    anchor = min(shifted.support)
+    return shifted.scale(-shifted.coeff(anchor))
 
 
 def residual_at(fc: TropPoly, m_g: int, corners) -> TropPoly | None:

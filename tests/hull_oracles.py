@@ -6,16 +6,18 @@ These are the straightforward versions that `troprat` replaced: gift
 wrapping that scans every point from every queued edge and drops a facet it
 has seen before by its primitive plane, a bounding-box scan that tests each
 candidate point against every edge, a summand search that tries every pick
-of the product of the edge lengths, a plane curve whose 1-cells come
-from re-hulling every 2-cell of the subdivision, and weighted intervals
-refined at every endpoint, summed per interval and merged.  The tests require the
-library to return what these return (the hull's facets as their corners and
-planes, in any order), and Pick's formula, counted on
-the bounding-box scan, to agree with `geom.area2`.  They live apart from
-`oracles.py`, which the benchmark's correctness checks import.
+of the product of the edge lengths and walks each summand's edges sorted by
+angle, a plane curve whose 1-cells come from re-hulling every 2-cell of the
+subdivision, and weighted intervals refined at every endpoint, summed per
+interval and merged.  The tests require the library to return what these
+return (the hull's facets as their corners and planes, in any order), and
+Pick's formula, counted on the bounding-box scan, to agree with
+`geom.area2`.  They live apart from `oracles.py`, which the benchmark's
+correctness checks import.
 """
 from collections import deque
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import product
 from math import gcd, lcm
 
@@ -23,8 +25,8 @@ from troprat.core import envelope
 from troprat.curve import CurveEdge, CurveLine, CurveRay, PlaneCurve
 from troprat.errors import DegenerateInput, DimensionMismatch
 from troprat.geom import (
+    _angle_cmp,
     _edge_multiset,
-    _polygon_from_edges,
     hull2,
     lattice_length,
     minkowski_sum2,
@@ -159,6 +161,18 @@ def zero_sum_picks(edges):
             yield picks
 
 
+def _polygon_from_edges(edges):
+    """The polygon walked along (direction, length) edges sorted by angle."""
+    moves = [(d, c) for d, c in edges if c > 0]
+    moves.sort(key=cmp_to_key(lambda A, B: _angle_cmp(A[0], B[0])))
+    cur = (0, 0)
+    pts = [cur]
+    for d, c in moves:
+        cur = (cur[0] + d[0] * c, cur[1] + d[1] * c)
+        pts.append(cur)
+    return hull2(pts)
+
+
 def summand_decompositions(P):
     """The summand pairs of a lattice polygon, as `geom.summand_decompositions`
     returns them, from every zero-sum pick of the product of the edge lengths."""
@@ -272,7 +286,7 @@ def plane_curve(f) -> PlaneCurve:
             d = primitive((-n[1], n[0]))
             lines.append(CurveLine(base, d, lattice_length(p, q), cell))
         lines.sort(key=lambda L: (L.direction, L.base))
-        return PlaneCurve((), (), (), tuple(lines), sub)
+        return PlaneCurve((), (), (), tuple(lines))
 
     vertex_of = {
         cell: (Fraction(n[0], n[2]), Fraction(n[1], n[2]))
@@ -299,7 +313,7 @@ def plane_curve(f) -> PlaneCurve:
     vertices = tuple(sorted(set(vertex_of.values())))
     edges.sort(key=lambda e: (e.a, e.b))
     rays.sort(key=lambda r: (r.direction, r.base))
-    return PlaneCurve(vertices, tuple(edges), tuple(rays), (), sub)
+    return PlaneCurve(vertices, tuple(edges), tuple(rays), ())
 
 
 def canonical_pieces(raw):

@@ -73,4 +73,44 @@ MUTATIONS = [
         tests=["tests/test_fraction_reference.py::test_terms_match_the_fraction_reference"],
         recorded="parser terms and plane-curve pieces in ints",
     ),
+    dict(
+        id="curve-piece-unbudgeted",
+        path="src/troprat/curve.py",
+        old="    geom.check_lattice_count(g + 1)\n",
+        new="",
+        tests=["tests/test_plane_curve.py::test_a_piece_past_the_lattice_bound_is_refused"],
+        recorded="one implementation per job",
+    ),
+    dict(
+        id="newt-projects-higher-arity",
+        path="src/troprat/cli.py",
+        old="        newt = newton_polygon(f)\n",
+        new="        from .geom import hull2\n        newt = hull2(f.support)\n",
+        tests=["tests/test_cli.py::TestDeterminismAndErrors::test_newt_refuses_three_variables"],
+        recorded="one implementation per job",
+    ),
+    dict(
+        id="unit-key-anchor-lex-max",
+        path="src/troprat/rep.py",
+        old="    base = ints[min(ints)]\n",
+        new="    base = ints[max(ints)]\n",
+        tests=["tests/test_search.py::test_unit_key_matches_the_normalized_terms"],
+        recorded="one implementation per job",
+    ),
+    dict(
+        id="summand-walk-reversed",
+        path="src/troprat/geom.py",
+        old="    for d, c in edges:\n",
+        new="    for d, c in reversed(edges):\n",
+        tests=["tests/test_search.py::test_summand_pairs_of_fixed_polygons"],
+        recorded="one implementation per job",
+    ),
+    dict(
+        id="merge-joins-bare-dashes",
+        path="src/troprat/cli.py",
+        old=' and argv[i + 1] != "--":\n',
+        new=":\n",
+        tests=["tests/test_cli.py::TestDeterminismAndErrors::test_bare_double_dash_value_exits_2"],
+        recorded="one implementation per job",
+    ),
 ]

@@ -180,6 +180,28 @@ class TestDeterminismAndErrors:
             code, out, err = run(capsys, "eval", "--poly", "x + 0", "--at", at)
             assert code == 2 and not out and err.startswith("error: bad point"), at
 
+    def test_newt_refuses_three_variables(self, capsys):
+        # the Newton polygon of x*z + y + 0 is not its projection onto (x, y)
+        assert run(capsys, "newt", "--poly", "x*z + y + 0") == (
+            2, "", "error: newton_polygon needs arity 2\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("factor", "--poly", "--", "--vars", "x,y"),
+            ("eval", "--poly", "--", "--at", "1"),
+            ("curve", "--poly", "--"),
+            ("factor", "--poly=--", "--vars", "x,y"),
+            ("check-duality", "--num", "x + 0", "--den", "x + 1", "--count=--"),
+        ],
+        ids=["factor", "eval", "curve", "factor-joined", "count-joined"],
+    )
+    def test_bare_double_dash_value_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out
+        assert "Traceback" not in err and "error:" in err.splitlines()[-1], err
+
     def test_render_missing_inputs_exit(self, capsys):
         for argv in (
             ("render", "--kind", "divisor", "--poly", "x + 0"),
@@ -212,8 +234,9 @@ class TestDeterminismAndErrors:
             ("curve", "--poly", f"x^{HUGE}+y+0"),
             ("subdiv", "--poly", f"x^{HUGE}+0"),
             ("divide", "--num", f"x^{HUGE}+y+0", "--den", "y+0"),
+            ("divisor", "--num", f"x^{HUGE}+y+0", "--den", "y+0"),
         ],
-        ids=["newt", "curve", "subdiv", "divide"],
+        ids=["newt", "curve", "subdiv", "divide", "divisor"],
     )
     def test_huge_polygons_exit_within_a_budget(self, argv):
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(troprat.__file__)))

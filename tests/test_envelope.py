@@ -93,7 +93,7 @@ def test_curve_vertices_are_ties_of_their_cells():
         if geom.hull2(f.support).dim < 2:
             continue
         C = plane_curve(f)
-        cells = C.subdivision.cells
+        cells = dual_subdivision(f).cells
         assert len(C.vertices) == len(cells)
         coeff = dict(canonicalize(f).items())
         for cell in cells:

@@ -1,6 +1,7 @@
 """The plane curve read off the envelope's facet corners against the reference
 in `hull_oracles`, which re-hulls every 2-cell of the subdivision: equal in
-every field, subdivision included, and equal subdivision vertices."""
+every field, each piece's dual segment included, and equal subdivision
+vertices."""
 from dataclasses import fields
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hull_oracles
-from troprat import DegenerateInput, TropPoly, canonicalize, dual_subdivision, geom, plane_curve
+from troprat import DegenerateInput, PolygonTooLarge, TropPoly, canonicalize, dual_subdivision, geom, plane_curve
 
 CURVE = settings(max_examples=120, deadline=None)
 
@@ -109,3 +110,11 @@ def test_monomials_have_no_curve():
             build(f)
     sub = dual_subdivision(f)
     assert sub.zero_cells() == hull_oracles.zero_cells(sub) == {(1, 2)}
+
+
+def test_a_piece_past_the_lattice_bound_is_refused():
+    # the edge from (0, 0) to (300000, 0) holds 300001 lattice points; the
+    # curve lists each piece's dual segment, so it counts them first
+    f = TropPoly(2, {(300000, 0): 0, (0, 1): 0, (0, 0): 0})
+    with pytest.raises(PolygonTooLarge, match="^300001 lattice points exceed the bound 200000$"):
+        plane_curve(f)

@@ -1,11 +1,12 @@
 """The factorization search against the straightforward versions it replaced:
 the summand pairs against trying every pick of the edge product (kept in
 `hull_oracles`), the residuation seeded from a summand's vertices against the
-all-zero seed on its lattice points, the integer memo key against the key
-read from `unit_normalize` through `items()`, and the two-round splits
-against the three-round search kept in `factor_reference`.  Residuation by a
-canonical fc applied three times equals it applied once, which is why two
-rounds suffice."""
+all-zero seed on its lattice points, the integer memo key and
+`unit_normalize` against the old `unit_normalize` (the key read through
+`items()`), and the two-round splits against the three-round search, both
+kept in `factor_reference`.
+Residuation by a canonical fc applied three times equals it applied once,
+which is why two rounds suffice."""
 from fractions import Fraction
 
 import pytest
@@ -76,9 +77,13 @@ def test_summand_pairs_of_fixed_polygons(corners):
 def test_both_refusals_keep_their_bounds_and_messages():
     with pytest.raises(PolygonTooLarge, match="^edge multiplicity sum 90 exceeds bound 24$"):
         geom.summand_decompositions(geom.hull2([(0, 0), (30, 0), (0, 30)]))
-    square = geom.hull2([(0, 0), (30, 0), (30, 30), (0, 30)])
-    with pytest.raises(PolygonTooLarge, match="^923521 candidate edge subsets is too many$"):
-        geom.summand_decompositions(square, max_edge_sum=120)
+    # a centrally symmetric 12-gon: edge sum 24, and 3^12 picks of its edges
+    steps = [(1, 0), (2, 1), (1, 1), (1, 2), (0, 1), (-1, 1)]
+    corners = [(0, 0)]
+    for dx, dy in steps + [(-dx, -dy) for dx, dy in steps]:
+        corners.append((corners[-1][0] + 2 * dx, corners[-1][1] + 2 * dy))
+    with pytest.raises(PolygonTooLarge, match="^531441 candidate edge subsets is too many$"):
+        geom.summand_decompositions(geom.hull2(corners))
 
 
 coefficients = st.one_of(
@@ -105,8 +110,10 @@ def test_vertex_seed_matches_the_lattice_seed(f, Q):
 @SEARCH
 @given(st.sampled_from([1, 2]).flatmap(lambda arity: polys(arity, min_size=0)))
 def test_unit_key_matches_the_normalized_terms(p):
-    want = tuple((e, (c.numerator, c.denominator)) for e, c in unit_normalize(p).items())
+    normal = factor_reference.unit_normalize(p)
+    want = tuple((e, (c.numerator, c.denominator)) for e, c in normal.items())
     assert _unit_key(p) == want
+    assert unit_normalize(p) == normal
 
 
 def _three_residuations_equal_one(fc, a):
