@@ -127,24 +127,29 @@ def _report(verb: str, inputs: dict, result: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2)
 
 
+def _read(args, *names) -> tuple:
+    """(inputs, *polys): the polynomial options `names` parsed over one
+    variable list, and the `inputs` echo of their canonical text and that list."""
+    vars = _vars_of(args, *(getattr(args, n) for n in names))
+    polys = [parse_poly(getattr(args, n), vars) for n in names]
+    inputs = {n: format_poly(p, vars) for n, p in zip(names, polys)}
+    inputs["vars"] = list(vars)
+    return (inputs, *polys)
+
+
 def _cmd_eval(args) -> str:
-    vars = _vars_of(args, args.poly)
-    f = parse_poly(args.poly, vars)
+    inputs, f = _read(args, "poly")
     point = _parse_point(args.at)
     value = f(point)
     result = {"value": "-inf" if value.is_bottom else _q(value.value)}
     if args.member:
         result["on_hypersurface"] = hypersurface_member(f, point)
-    return _report(
-        "eval",
-        {"poly": format_poly(f, vars), "at": [str(x) for x in point], "vars": list(vars)},
-        result,
-    )
+    inputs["at"] = [str(x) for x in point]
+    return _report("eval", inputs, result)
 
 
 def _cmd_newt(args) -> str:
-    vars = _vars_of(args, args.poly)
-    f = parse_poly(args.poly, vars)
+    inputs, f = _read(args, "poly")
     if f.arity == 1:
         lo, hi = newton_range(f)
         result = {"min": lo, "max": hi}
@@ -154,62 +159,50 @@ def _cmd_newt(args) -> str:
             "vertices": [list(v) for v in newt.vertices],
             "lattice_points": [list(p) for p in lattice_points(newt)],
         }
-    return _report("newt", {"poly": format_poly(f, vars), "vars": list(vars)}, result)
+    return _report("newt", inputs, result)
 
 
 def _cmd_subdiv(args) -> str:
-    vars = _vars_of(args, args.poly)
-    f = parse_poly(args.poly, vars)
+    inputs, f = _read(args, "poly")
     S = dual_subdivision(f)
     if args.svg:
         return svg.render_svg(S)
     result = _subdiv_payload(S)
     result["mcomp"] = mcomp(f)
-    return _report("subdiv", {"poly": format_poly(f, vars), "vars": list(vars)}, result)
+    return _report("subdiv", inputs, result)
 
 
 def _cmd_curve(args) -> str:
-    vars = _vars_of(args, args.poly)
-    f = parse_poly(args.poly, vars)
+    inputs, f = _read(args, "poly")
     C = plane_curve(f)
     if args.svg:
         return svg.render_svg(C)
-    return _report("curve", {"poly": format_poly(f, vars), "vars": list(vars)}, _curve_payload(C))
-
-
-def _parse_pair(args):
-    vars = _vars_of(args, args.num, args.den)
-    return parse_poly(args.num, vars), parse_poly(args.den, vars), vars
+    return _report("curve", inputs, _curve_payload(C))
 
 
 def _cmd_vol(args) -> str:
-    f, g, vars = _parse_pair(args)
+    inputs, f, g = _read(args, "num", "den")
     v = rep.vol_pair(f, g)
-    return _report(
-        "vol",
-        {"num": format_poly(f, vars), "den": format_poly(g, vars), "vars": list(vars)},
-        {"volume": _q(v)},
-    )
+    return _report("vol", inputs, {"volume": _q(v)})
 
 
 def _cmd_minrep(args) -> str:
-    f, g, vars = _parse_pair(args)
+    inputs, f, g = _read(args, "num", "den")
     pair = rep.minrep_uni(TropRational(f, g))
     return _report(
         "minrep",
-        {"num": format_poly(f, vars), "den": format_poly(g, vars), "vars": list(vars)},
+        inputs,
         {
-            "num": format_poly(pair.num, vars),
-            "den": format_poly(pair.den, vars),
+            "num": format_poly(pair.num, inputs["vars"]),
+            "den": format_poly(pair.den, inputs["vars"]),
             "volume": _q(pair.volume),
         },
     )
 
 
 def _cmd_comp(args) -> str:
-    sources = args.poly
-    vars = _vars_of(args, *sources)
-    polys = [parse_poly(s, vars) for s in sources]
+    vars = _vars_of(args, *args.poly)
+    polys = [parse_poly(s, vars) for s in args.poly]
     values = [mcomp(p) for p in polys]
     return _report(
         "comp",
@@ -219,41 +212,33 @@ def _cmd_comp(args) -> str:
 
 
 def _cmd_divide(args) -> str:
-    f, g, vars = _parse_pair(args)
+    inputs, f, g = _read(args, "num", "den")
     h = rep.try_divide(f, g)
-    return _report(
-        "divide",
-        {"num": format_poly(f, vars), "den": format_poly(g, vars), "vars": list(vars)},
-        {"quotient": None if h is None else format_poly(h, vars)},
-    )
+    quotient = None if h is None else format_poly(h, inputs["vars"])
+    return _report("divide", inputs, {"quotient": quotient})
 
 
 def _cmd_factor(args) -> str:
-    vars = _vars_of(args, args.poly)
-    f = parse_poly(args.poly, vars)
+    inputs, f = _read(args, "poly")
     factorizations = rep.enumerate_factorizations(f)
     return _report(
         "factor",
-        {"poly": format_poly(f, vars), "vars": list(vars)},
+        inputs,
         {
             "complete_for_general_coefficients": False,
             "factorizations": [
-                [format_poly(p, vars) for p in fs] for fs in factorizations
+                [format_poly(p, inputs["vars"]) for p in fs] for fs in factorizations
             ],
         },
     )
 
 
 def _cmd_divisor(args) -> str:
-    f, g, vars = _parse_pair(args)
+    inputs, f, g = _read(args, "num", "den")
     D = divisor_sub(curve_to_divisor(plane_curve(f)), curve_to_divisor(plane_curve(g)))
     if args.svg:
         return svg.render_svg(D)
-    return _report(
-        "divisor",
-        {"num": format_poly(f, vars), "den": format_poly(g, vars), "vars": list(vars)},
-        {"pieces": _divisor_json(D)},
-    )
+    return _report("divisor", inputs, {"pieces": _divisor_json(D)})
 
 
 def _cmd_check_duality(args) -> str:
@@ -261,18 +246,13 @@ def _cmd_check_duality(args) -> str:
         raise TropError(f"--count must be at least 1, got {args.count}")
     if args.count > MAX_DUALITY_COUNT:
         raise TropError(f"--count must be at most {MAX_DUALITY_COUNT}, got {args.count}")
-    f, g, vars = _parse_pair(args)
+    inputs, f, g = _read(args, "num", "den")
     samples = duality_samples(f, g, args.count, args.seed)
     report = graph_duality_check(f, g, samples)
+    inputs.update(count=args.count, seed=args.seed)
     return _report(
         "check-duality",
-        {
-            "num": format_poly(f, vars),
-            "den": format_poly(g, vars),
-            "vars": list(vars),
-            "count": args.count,
-            "seed": args.seed,
-        },
+        inputs,
         {
             "total": report.total,
             "graph_points": report.graph_hits,
@@ -408,10 +388,7 @@ def main(argv=None) -> int:
     try:
         sys.stdout.write(args.handler(args) + "\n")
         return 0
-    except TropError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except (ValueError, ZeroDivisionError) as exc:
+    except (TropError, ValueError, ZeroDivisionError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -86,13 +86,13 @@ def plane_curve(f: TropPoly) -> PlaneCurve:
     env = envelope(f)
 
     if env.chain is not None:
-        coeff = env.vertices  # consecutive corners bound each linear piece
-        lines = []
-        for p, q in zip(env._corners, env._corners[1:]):
-            n = (p[0] - q[0], p[1] - q[1])  # tie: n . x = c_q - c_p
-            base = _line_anchor((n, coeff[q] - coeff[p]))
-            w, (dx, dy), dual = _segment(p, q)
-            lines.append(CurveLine(base, (dy, -dx), w, dual))
+        # the corners p, q around each root tie on the line s . x = root, s
+        # the chain's step; the line's weight is the root's multiplicity
+        s, corners = env.chain[1], env._corners
+        lines = [
+            CurveLine(_line_anchor((s, root)), (s[1], -s[0]), w, _segment(p, q)[2])
+            for (root, w), p, q in zip(env.roots, corners, corners[1:])
+        ]
         lines.sort(key=lambda L: (L.direction, L.base))
         return PlaneCurve((), (), (), tuple(lines))
 
@@ -143,16 +143,15 @@ def balancing_check(C: PlaneCurve) -> bool:
 
 
 def recession_fan(f: TropPoly) -> PlaneCurve:
-    """Curve of the zero-coefficient polynomial on Newt(f)'s lattice points."""
+    """Curve of the zero-coefficient polynomial on Newt(f)'s vertices."""
     if f.arity != 2:
         raise DimensionMismatch("recession_fan needs arity 2")
     if f.is_bottom:
         raise DegenerateInput("-inf has no recession fan")
     if f.is_unit:
         raise DegenerateInput("a monomial has no recession fan")
-    newt = geom.hull2(f.support)
-    flat = TropPoly(2, {p: 0 for p in geom.lattice_points(newt)})
-    return plane_curve(flat)
+    corners = geom.hull2(f.support).vertices  # the same flat facet as on all its lattice points
+    return plane_curve(TropPoly(2, {p: 0 for p in corners}))
 
 
 # ---------------------------------------------------------------------------

@@ -314,16 +314,11 @@ def volume_oracle(S: StackedHull) -> Fraction:
 
 
 def _edge_multiset(P: Polygon):
-    """ccw boundary as (primitive direction, lattice length) pairs."""
-    if P.dim == 0:
-        return []
+    """ccw boundary as (primitive direction, lattice length) pairs; a segment runs both ways."""
+    out = [(primitive(_sub(b, a)), lattice_length(a, b)) for a, b in P.edges()]
     if P.dim == 1:
-        a, b = P.vertices
-        d = primitive(_sub(b, a))
-        return [(d, lattice_length(a, b)), ((-d[0], -d[1]), lattice_length(a, b))]
-    out = []
-    for a, b in P.edges():
-        out.append((primitive(_sub(b, a)), lattice_length(a, b)))
+        [(d, c)] = out
+        out.append(((-d[0], -d[1]), c))
     return out
 
 

@@ -1,6 +1,7 @@
 """Deterministic SVG rendering of subdivisions, plane curves and divisors."""
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from . import geom
@@ -20,9 +21,16 @@ def _fmt(x) -> str:
 
 
 class _Canvas:
-    def __init__(self, x0, y0, x1, y1):
-        self.x0, self.y0, self.x1, self.y1 = x0 - MARGIN, y0 - MARGIN, x1 + MARGIN, y1 + MARGIN
+    """A viewbox framing `points` (the origin when there are none) with a
+    margin, dotted at every integer point inside it."""
+
+    def __init__(self, points):
+        xs = [Fraction(p[0]) for p in points] or [Fraction(0)]
+        ys = [Fraction(p[1]) for p in points] or [Fraction(0)]
+        self.x0, self.y0 = min(xs) - MARGIN, min(ys) - MARGIN
+        self.x1, self.y1 = max(xs) + MARGIN, max(ys) + MARGIN
         self.parts: list[str] = []
+        self.grid()
 
     def pt(self, p):
         return (float(p[0]) * SCALE, -float(p[1]) * SCALE)
@@ -38,8 +46,6 @@ class _Canvas:
         )
 
     def grid(self):
-        import math
-
         for gx in range(math.ceil(self.x0), math.floor(self.x1) + 1):
             for gy in range(math.ceil(self.y0), math.floor(self.y1) + 1):
                 cx, cy = self.pt((gx, gy))
@@ -92,12 +98,6 @@ class _Canvas:
         return "\n".join([self.header(), *self.parts, "</svg>"])
 
 
-def _bbox(points):
-    xs = [Fraction(p[0]) for p in points]
-    ys = [Fraction(p[1]) for p in points]
-    return min(xs), min(ys), max(xs), max(ys)
-
-
 def render_svg(obj) -> str:
     """Render a Subdivision, PlaneCurve or Divisor to a deterministic SVG."""
     if isinstance(obj, Subdivision):
@@ -112,9 +112,7 @@ def render_svg(obj) -> str:
 def _render_subdivision(sub: Subdivision) -> str:
     if sub.arity != 2:
         raise TropError("only 2-dimensional subdivisions can be rendered")
-    pts = [p for cell in sub.cells for p in cell]
-    canvas = _Canvas(*_bbox(pts))
-    canvas.grid()
+    canvas = _Canvas([p for cell in sub.cells for p in cell])
     for cell in sub.cells:
         pts = sorted(cell)
         hull = geom.hull2(pts)
@@ -130,10 +128,7 @@ def _render_curve(C: PlaneCurve) -> str:
     anchor_pts += [r.base for r in C.rays]
     anchor_pts += [L.base for L in C.lines]
     anchor_pts += [e.a for e in C.edges] + [e.b for e in C.edges]
-    if not anchor_pts:
-        anchor_pts = [(0, 0)]
-    canvas = _Canvas(*_bbox(anchor_pts))
-    canvas.grid()
+    canvas = _Canvas(anchor_pts)
     for e in C.edges:
         canvas.path(e.a, e.b, "edge", label=e.weight if e.weight > 1 else None)
     for r in C.rays:
@@ -152,10 +147,7 @@ def _render_divisor(D: Divisor) -> str:
             anchors += [data[0], data[1]]
         else:
             anchors.append(data[0])
-    if not anchors:
-        anchors = [(0, 0)]
-    canvas = _Canvas(*_bbox(anchors))
-    canvas.grid()
+    canvas = _Canvas(anchors)
     for piece in sorted(D.pieces(), key=str):
         kind = piece[0]
         w = piece[-1]

@@ -113,4 +113,54 @@ MUTATIONS = [
         tests=["tests/test_cli.py::TestDeterminismAndErrors::test_bare_double_dash_value_exits_2"],
         recorded="one implementation per job",
     ),
+    dict(
+        id="read-echoes-raw-text",
+        path="src/troprat/cli.py",
+        old="    inputs = {n: format_poly(p, vars) for n, p in zip(names, polys)}\n",
+        new="    inputs = {n: getattr(args, n) for n in names}\n",
+        tests=["tests/test_cli_golden.py::test_cli_golden[divisor-edge]"],
+        recorded="one input reader, one canvas, one breakpoint computation",
+    ),
+    dict(
+        id="chain-line-root-negated",
+        path="src/troprat/curve.py",
+        old="CurveLine(_line_anchor((s, root)),",
+        new="CurveLine(_line_anchor((s, -root)),",
+        tests=["tests/test_cli_golden.py::test_cli_golden[curve-segment]"],
+        recorded="one input reader, one canvas, one breakpoint computation",
+    ),
+    dict(
+        id="segment-walked-one-way",
+        path="src/troprat/geom.py",
+        old="        out.append(((-d[0], -d[1]), c))\n",
+        new="",
+        tests=["tests/test_geom.py::TestSummands::test_segment"],
+        recorded="one input reader, one canvas, one breakpoint computation",
+    ),
+    dict(
+        id="recession-fan-on-lattice-points",
+        path="src/troprat/curve.py",
+        old="    corners = geom.hull2(f.support).vertices",
+        new="    corners = geom.lattice_points(geom.hull2(f.support))",
+        tests=["tests/test_curve.py::TestRecessionFan::test_fan_of_a_wide_triangle"],
+        recorded="one input reader, one canvas, one breakpoint computation",
+    ),
+    dict(
+        id="canvas-origin-fallback-dropped",
+        path="src/troprat/svg.py",
+        old="        xs = [Fraction(p[0]) for p in points] or [Fraction(0)]\n"
+        "        ys = [Fraction(p[1]) for p in points] or [Fraction(0)]\n",
+        new="        xs = [Fraction(p[0]) for p in points]\n"
+        "        ys = [Fraction(p[1]) for p in points]\n",
+        tests=["tests/test_cli_golden.py::test_cli_golden[divisor-svg-empty]"],
+        recorded="one input reader, one canvas, one breakpoint computation",
+    ),
+    dict(
+        id="factor-unit-branch-dropped",
+        path="src/troprat/rep.py",
+        old="        if p.is_unit:\n            results = set()\n        elif env.chain is not None:\n",
+        new="        if env.chain is not None:\n",
+        tests=["tests/test_cli.py::TestVerbs::test_factor_of_a_monomial"],
+        recorded="one input reader, one canvas, one breakpoint computation",
+    ),
 ]

@@ -94,12 +94,27 @@ class TestVerbs:
         lists = sorted(doc["result"]["factorizations"], key=len)
         assert len(lists) == 2 and len(lists[1]) == 2
 
+    def test_factor_of_a_monomial(self, capsys):
+        # a unit has itself (normalized) as its one factorization, and no
+        # empty one
+        doc = run_json(capsys, "factor", "--poly", "x*y")
+        assert doc["result"]["factorizations"] == [["0"]]
+
     def test_divisor(self, capsys):
         doc = run_json(
             capsys, "divisor", "--num", UNIQUE_MIN_NUM, "--den", UNIQUE_MIN_DEN
         )
         kinds = {p["kind"] for p in doc["result"]["pieces"]}
         assert "ray" in kinds
+
+    def test_divisor_segment_is_the_numerators_edge(self, capsys):
+        num = "x*y + (-1)*y^2 + x + y + 0"
+        doc = run_json(capsys, "divisor", "--num", num, "--den", "x + y + 0")
+        (segment,) = [p for p in doc["result"]["pieces"] if p["kind"] == "segment"]
+        (edge,) = plane_curve(p2(num)).edges
+        assert (segment["a"], segment["b"], segment["weight"]) == (
+            cli._point(edge.a), cli._point(edge.b), edge.weight
+        )
 
     def test_check_duality(self, capsys):
         doc = run_json(
@@ -155,6 +170,28 @@ class TestDeterminismAndErrors:
     def test_parse_error_exit_code(self, capsys):
         code, out, err = run(capsys, "eval", "--poly", "x + ", "--at", "3")
         assert code == 2 and "offset" in err and not out
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("eval", "--poly", "x^1.5", "--at", "1"), "exponent must be an integer (at offset 2)"),
+            (
+                ("eval", "--poly", "(1.5/2)*x", "--at", "1"),
+                "rational literal parts must be integers (at offset 1)",
+            ),
+            (
+                ("eval", "--poly", "x + /2", "--at", "1"),
+                "'/' is only valid inside a parenthesized rational literal (at offset 4)",
+            ),
+            (
+                ("eval", "--poly", "x + 0", "--vars", "x,x", "--at", "1"),
+                "--vars must be distinct nonempty names (at offset 0)",
+            ),
+        ],
+        ids=["fractional-exponent", "decimal-in-rational", "bare-slash", "repeated-vars"],
+    )
+    def test_positioned_diagnostics(self, capsys, argv, message):
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
     def test_zero_denominator_message(self, capsys):
         # The `cli` benchmark golden digests this exit code and stderr.  Aim 3

@@ -31,6 +31,9 @@ def _dense(degree: int) -> str:
 
 DENSE8 = _dense(8)
 SEGMENT = "x^3*y^3 + 2*x^2*y^2 + (-1)*x*y + 0"
+# a curve with one bounded edge; over x + y + 0 its divisor is one segment
+# and four rays
+EDGE = "x*y + (-1)*y^2 + x + y + 0"
 
 CASES = {
     "eval-member": (
@@ -61,6 +64,10 @@ CASES = {
         ["subdiv", "--poly", SEGMENT],
         "4077097980afc9325c89d91ef2ff686155fdaacb31301c757ad308c4cad9c635",
     ),
+    "subdiv-svg-cell-segment": (
+        ["subdiv", "--poly", "x^2*y^2 + 3*x*y + 0", "--svg"],
+        "7062e8dc25dacde0bc75960007a2ac05f1e52d3d7d0cc1ff5a434dfe60bd4819",
+    ),
     "subdiv-dense8": (
         ["subdiv", "--poly", DENSE8],
         "c102ca20bae550ea5b63973c04ebd159a928ba31b428dd4e642fbbd62f65eee4",
@@ -80,6 +87,10 @@ CASES = {
     "curve-svg-segment": (
         ["curve", "--poly", SEGMENT, "--svg"],
         "a3f8f17912196356bd2a9484c04a31fc031dbe74753a333816bfe5133ecd29f5",
+    ),
+    "curve-svg-edge": (
+        ["curve", "--poly", EDGE, "--svg"],
+        "b29afa00ab2d2754304783a40ad6610ae206e33208d0d3e6b939b8848e1b9a35",
     ),
     "curve-svg-four-lines": (
         ["curve", "--poly", FOUR_LINES, "--svg"],
@@ -116,6 +127,19 @@ CASES = {
     "divisor-svg-segment": (
         ["divisor", "--num", SEGMENT, "--den", "x*y + 0", "--svg"],
         "afc9b67562eba54c58a26cf978e7cd15d8f0d402849318e6ed535c3a5c68de60",
+    ),
+    "divisor-edge": (
+        ["divisor", "--num", EDGE, "--den", "x + y + 0"],
+        "095b2c30ae7f0f5dc1c77a49495a25e8164115a1e639b4cb78a8c1e70d821b78",
+    ),
+    "divisor-svg-edge": (
+        ["divisor", "--num", EDGE, "--den", "x + y + 0", "--svg"],
+        "7d6dd27b517d9cc83142b8f27c634aeb40305aac8c7b9afadc92752ea62e5a15",
+    ),
+    "divisor-svg-empty": (
+        # no pieces: the canvas frames the origin
+        ["divisor", "--num", "x + y + 0", "--den", "x + y + 0", "--svg"],
+        "ec6ba6d34a63533bf58b79ae134ebc8db29488b0e526dad0bc50664e4157ec38",
     ),
     "check-duality-uni": (
         ["check-duality", "--num", "x^3 + 2*x + 0", "--den", "x + 1", "--count", "60"],

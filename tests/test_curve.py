@@ -202,6 +202,15 @@ class TestRecessionFan:
             ((1, 1), 2),
         ]
 
+    def test_fan_of_a_wide_triangle(self):
+        # Newt(f) has 501,501 lattice points; the fan needs only its vertices
+        C = recession_fan(p2("x^1000 + y^1000 + 0"))
+        assert sorted((r.direction, r.weight) for r in C.rays) == [
+            ((-1, 0), 1000),
+            ((0, -1), 1000),
+            ((1, 1), 1000),
+        ]
+
 
 class TestDivisor:
     def test_two_expression_rays(self, alt_min_pairs):

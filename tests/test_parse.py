@@ -256,6 +256,11 @@ class TestFormat:
     def test_bottom(self):
         assert format_poly(TropPoly.zero(1)) == "-inf"
 
+    def test_no_default_names_past_three_variables(self):
+        with pytest.raises(ParseError) as err:
+            format_poly(TropPoly(4, {(1, 0, 0, 0): 0}))
+        assert str(err.value) == "no default variable list for arity 4 (at offset 0)"
+
     def test_negative_and_fraction_coefficients(self):
         f = p2("(-1)*x*y^2 + (1/3)*x + 0")
         assert format_poly(f, XY) == "(-1)*x*y^2 + (1/3)*x + 0"
